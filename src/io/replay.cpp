@@ -113,8 +113,33 @@ TraceReplayer::TraceReplayer(runtime::PacketSource& inner, ReplayOptions opts)
   }
 }
 
+std::chrono::steady_clock::time_point TraceReplayer::DueAt(
+    std::uint64_t ts_us) const {
+  const auto elapsed_us =
+      ts_us <= stats_.first_ts_us
+          ? 0.0
+          : static_cast<double>(ts_us - stats_.first_ts_us) / opts_.speedup;
+  return wall_start_ +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double, std::micro>(elapsed_us));
+}
+
+bool TraceReplayer::NextNotDue() {
+  if (opts_.clock == ReplayClock::kAfap || !started_) return false;
+  if (!have_ahead_) {
+    if (!inner_.Next(ahead_)) return false;
+    have_ahead_ = true;
+  }
+  return std::chrono::steady_clock::now() < DueAt(ahead_.ts_us);
+}
+
 bool TraceReplayer::Next(traffic::TracePacket& out) {
-  if (!inner_.Next(out)) return false;
+  if (have_ahead_) {
+    out = ahead_;
+    have_ahead_ = false;
+  } else if (!inner_.Next(out)) {
+    return false;
+  }
   const auto now = std::chrono::steady_clock::now();
   if (!started_) {
     started_ = true;
@@ -129,15 +154,7 @@ bool TraceReplayer::Next(traffic::TracePacket& out) {
   ++stats_.packets;
 
   if (opts_.clock != ReplayClock::kAfap) {
-    const auto elapsed_us =
-        out.ts_us <= stats_.first_ts_us
-            ? 0.0
-            : static_cast<double>(out.ts_us - stats_.first_ts_us) /
-                  opts_.speedup;
-    const auto due = wall_start_ + std::chrono::duration_cast<
-                                       std::chrono::steady_clock::duration>(
-                                       std::chrono::duration<double, std::micro>(
-                                           elapsed_us));
+    const auto due = DueAt(out.ts_us);
     auto t = now;
     if (t < due) {
       // Sleep to within half a millisecond of the deadline, then spin — the

@@ -10,9 +10,10 @@
 //  * TraceReplayer wraps any PacketSource and paces delivery by the trace's
 //    own timestamps: as-fast-as-possible, trace-paced (wall clock tracks
 //    the capture clock), or speedup xN. Next() blocks until a packet is
-//    due, so StreamServer::Serve(replayer) IS the timed replay loop; the
-//    replayer records per-replay stats (wall time, rate, how far delivery
-//    fell behind schedule).
+//    due, so StreamServer::Serve(replayer) IS the timed replay loop;
+//    NextNotDue() tells the server's ingest a wait is coming, so it pushes
+//    its staged packets first. The replayer records per-replay stats (wall
+//    time, rate, how far delivery fell behind schedule).
 #pragma once
 
 #include <chrono>
@@ -134,14 +135,26 @@ class TraceReplayer final : public runtime::PacketSource {
   /// spin near the deadline) until the packet is due under the clock mode.
   bool Next(traffic::TracePacket& out) override;
 
+  /// Answers from the schedule: pulls the next packet ahead (held for the
+  /// following Next) and reports whether its due time is still in the
+  /// future. Always false under kAfap and before the first delivery, which
+  /// starts the schedule.
+  bool NextNotDue() override;
+
   const ReplayStats& stats() const { return stats_; }
 
  private:
+  /// Wall-clock delivery deadline of a packet stamped `ts_us`.
+  std::chrono::steady_clock::time_point DueAt(std::uint64_t ts_us) const;
+
   runtime::PacketSource& inner_;
   ReplayOptions opts_;
   ReplayStats stats_;
   bool started_ = false;
   std::chrono::steady_clock::time_point wall_start_;
+  /// The packet NextNotDue pulled ahead, valid while `have_ahead_`.
+  traffic::TracePacket ahead_;
+  bool have_ahead_ = false;
 };
 
 }  // namespace pegasus::io

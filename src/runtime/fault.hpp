@@ -174,9 +174,12 @@ extern std::atomic<bool> g_fault_enabled;
 }  // namespace fault_detail
 
 /// The hook compiled into runtime hot paths. Disarmed (always, outside
-/// fault tests): one relaxed load + never-taken branch.
+/// fault tests): one load + never-taken branch. The load is acquire so a
+/// hook that sees the gate open also sees the plan Arm() published before
+/// opening it (a worker may hit a site while a test arms a plan); on x86
+/// an acquire load is the same plain load as a relaxed one.
 inline bool FaultFires(FaultSite site) {
-  if (!fault_detail::g_fault_enabled.load(std::memory_order_relaxed))
+  if (!fault_detail::g_fault_enabled.load(std::memory_order_acquire))
       [[likely]] {
     return false;
   }

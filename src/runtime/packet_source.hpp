@@ -35,6 +35,16 @@ class PacketSource {
   /// internal buffer; the server copies the payload where it must outlive
   /// the call (its multi-threaded rings).
   virtual bool Next(traffic::TracePacket& out) = 0;
+
+  /// Non-blocking: true when the stream has a next packet that is not due
+  /// yet, so Next() would wait for it (a paced replay between packets, a
+  /// live source that paused). A consumer that stages packets pushes what
+  /// it holds before it blocks in Next(), so staged packets never wait on
+  /// a pause in the stream. Sources that deliver as fast as they are
+  /// pulled keep the default, false. The query may pull ahead from an
+  /// inner source, so like Next() it ends the validity of the previously
+  /// returned packet's buffer.
+  virtual bool NextNotDue() { return false; }
 };
 
 /// The in-memory case: iterates a borrowed trace (must outlive the source).
@@ -93,6 +103,10 @@ class PartitionedPacketSource {
   /// Produces the next packet of partition `p`. Same buffer-reuse contract
   /// as PacketSource::Next. Only the ingest thread owning `p` may call it.
   virtual bool Next(std::size_t p, traffic::TracePacket& out) = 0;
+
+  /// PacketSource::NextNotDue for partition `p`; same contract, same
+  /// caller restriction as Next(p, ...).
+  virtual bool NextNotDue(std::size_t /*p*/) { return false; }
 };
 
 /// Splits a borrowed in-memory trace by flow digest: one pre-pass routes

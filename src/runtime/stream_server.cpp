@@ -408,6 +408,22 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
   for (std::size_t s = t; s < shards_.size(); s += fanout) {
     stages[s].items.resize(burst);
   }
+  // Packets held in partial stages across all of this thread's shards.
+  // They are pushed before the thread waits on the source (a paced or
+  // paused stream) and at its end, so no staged packet waits for its
+  // burst to fill behind a pause.
+  std::size_t staged = 0;
+  const auto push_partial = [&] {
+    for (std::size_t s = t; s < shards_.size(); s += fanout) {
+      Stage& stage = stages[s];
+      if (stage.n != 0) {
+        PushStage(*shards_[s], std::span<ShardItem>(stage.items.data(),
+                                                    stage.n));
+        stage.n = 0;
+      }
+    }
+    staged = 0;
+  };
   // Each ingest thread keeps its own countdown: a sampled pull times the
   // source decode (Next) and stamps the packet for dwell/end-to-end
   // measurement downstream. With telemetry off this is one predictable
@@ -415,6 +431,7 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
   telemetry::Sampler sampler(tele_ != nullptr ? tele_->sample_every() : 0);
   traffic::TracePacket pkt;
   for (;;) {
+    if (staged != 0 && source.NextNotDue(t)) push_partial();
     const bool sampled = sampler.Sample();
     const std::uint64_t t0 = sampled ? tele_->NowNs() : 0;
     if (!source.Next(t, pkt)) break;
@@ -447,20 +464,15 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
     item.packet.tele_stamp = stamp;
     item.payload = *pkt.packet;
     item.swap = nullptr;  // staged slots are reused after a flush
+    ++staged;
     if (++stage.n == burst) {
       PushStage(*shards_[s], std::span<ShardItem>(stage.items.data(),
                                                   stage.n));
       stage.n = 0;
+      staged -= burst;
     }
   }
-  for (std::size_t s = t; s < shards_.size(); s += fanout) {
-    Stage& stage = stages[s];
-    if (stage.n != 0) {
-      PushStage(*shards_[s], std::span<ShardItem>(stage.items.data(),
-                                                  stage.n));
-      stage.n = 0;
-    }
-  }
+  push_partial();
 }
 
 void StreamServer::SwapModel(std::shared_ptr<const LoweredModel> model,
@@ -710,8 +722,10 @@ void StreamServer::FlushShard(Shard& shard) {
   const std::size_t out_dim = shard.out_dim;
   telemetry::ShardTelemetry* const tele = shard.tele;
   // The flush is timed whole (Infer + argmax + emit) whenever sampling is
-  // enabled — it is already batch-amortized, so per-flush (not 1-in-N)
-  // costs two clock reads per `batch_size` packets.
+  // enabled, at two clock reads per flush (not 1-in-N). Under backlog a
+  // flush carries `batch_size` packets; at low load an MT worker flushes
+  // whenever its ring runs dry, so a flush may carry a single packet and
+  // the timing then costs up to two clock reads per decision.
   const bool timed = tele != nullptr && tele_->sample_every() != 0;
   const std::uint64_t flush_t0 = timed ? tele_->NowNs() : 0;
   // Bounded retry ladder around the engine: a transient Infer failure
@@ -1029,6 +1043,14 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
           FaultInjector::Instance().Param(FaultSite::kWorkerStuck)));
     }
   };
+  // Consecutive empty polls. Batching is work-conserving: a partial batch
+  // is flushed once the ring is still empty on the poll after an idle
+  // yield, so a decision waits only for the packets queued ahead of it,
+  // never for the batch to fill. Under backlog the ring never runs dry and
+  // batches stay full; the one-yield grace keeps a momentary gap between
+  // producer bursts from splitting a batch. Batch boundaries never change
+  // decision bits, so MT == ST equality is untouched.
+  std::size_t idle = 0;
   for (;;) {
     // The heartbeat ticks every loop iteration, idle ones included: a
     // live-but-idle worker keeps beating, so the watchdog's stall signal
@@ -1036,9 +1058,11 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
     shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
     const std::size_t n = shard.queue->TryPopBurst(std::span<ShardItem>(burst));
     if (n != 0) {
+      idle = 0;
       drain(n);
       continue;
     }
+    if (++idle == 2) FlushShard(shard);
     if (closed_.load(std::memory_order_acquire)) {
       // The producer has stopped; drain what raced in, then exit.
       std::size_t tail;
@@ -1082,6 +1106,7 @@ class SinglePartitionSource final : public PartitionedPacketSource {
   bool Next(std::size_t, traffic::TracePacket& out) override {
     return inner_.Next(out);
   }
+  bool NextNotDue(std::size_t) override { return inner_.NextNotDue(); }
 
  private:
   PacketSource& inner_;

@@ -29,7 +29,12 @@
 //    flow's state is cache-resident. Because a flow maps to exactly one
 //    shard and the ring preserves order, every shard sees the same packet
 //    sequence as in single-threaded mode — per-flow decisions are
-//    identical, only cross-shard interleaving differs.
+//    identical, only cross-shard interleaving differs. Batching is
+//    work-conserving: a worker whose ring is still empty on the poll after
+//    an idle yield flushes its partial batch, and ingest pushes its
+//    partial bursts before it waits on a source whose next packet is not
+//    due (PacketSource::NextNotDue). Batch boundaries never change a
+//    decision's bits, only when it leaves.
 //  * multi-ingest (multi-threaded + Serve(PartitionedPacketSource&)):
 //    num_ingest threads each pull their own digest-disjoint partition and
 //    feed only the shards they own (shard % num_ingest == ingest), staging
@@ -168,7 +173,12 @@ struct StreamServerOptions {
   /// deterministic; LRU is the default the equality proofs pin down.
   FlowTableLayout table_layout = FlowTableLayout::kSplit;
   FlowTableEviction table_eviction = FlowTableEviction::kLru;
-  /// Inference batch size per shard (also the engine's PHV pool size).
+  /// Upper bound on the rows per inference batch (also the engine's PHV
+  /// pool size), not a fill target. A shard flushes at this size, before a
+  /// swap and on Flush()/Stop(); a multi-threaded worker also flushes its
+  /// partial batch as soon as its ring runs dry, so under backlog batches
+  /// stay full and at partial load a decision waits only for the packets
+  /// queued ahead of it.
   std::size_t batch_size = InferenceEngine::kDefaultBatchCapacity;
   FeatureKind feature = FeatureKind::kSeq;
   /// false: Push() processes synchronously. true: Start()/Stop() run one

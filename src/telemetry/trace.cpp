@@ -46,16 +46,24 @@ void EventRing::Record(TraceEventKind kind, std::uint32_t shard,
   }
   const std::uint64_t claim = cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[claim & mask_];
-  // Invalidate first so a concurrent reader lapped by this write drops the
-  // slot instead of mixing old/new fields, then publish seq last.
-  s.seq.store(0, std::memory_order_relaxed);
-  s.ts_ns.store(ts_ns, std::memory_order_relaxed);
-  s.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  s.arg_a.store(arg_a, std::memory_order_relaxed);
-  s.arg_b.store(arg_b, std::memory_order_relaxed);
+  // Take the slot first, so a concurrent reader drops it instead of mixing
+  // old and new fields, then publish seq last. A writer that laps another
+  // one still writing this slot drops its event: interleaving the two
+  // writers' fields would leave a torn slot that looks valid.
+  std::uint64_t seen = s.seq.load(std::memory_order_relaxed);
+  do {
+    if (seen == kInFlight) return;
+  } while (!s.seq.compare_exchange_weak(seen, kInFlight,
+                                        std::memory_order_relaxed));
+  // Release stores: a reader that loads any of these fields also sees the
+  // take above, so its seq re-check catches the write in progress.
+  s.ts_ns.store(ts_ns, std::memory_order_release);
+  s.dur_ns.store(dur_ns, std::memory_order_release);
+  s.arg_a.store(arg_a, std::memory_order_release);
+  s.arg_b.store(arg_b, std::memory_order_release);
   s.kind_shard.store(
       (static_cast<std::uint64_t>(kind) << 32) | shard,
-      std::memory_order_relaxed);
+      std::memory_order_release);
   s.seq.store(claim + 1, std::memory_order_release);
 }
 
@@ -66,17 +74,18 @@ std::vector<TraceEvent> EventRing::Dump() const {
   for (std::size_t i = 0; i < capacity_; ++i) {
     const Slot& s = slots_[i];
     const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
-    if (seq == 0) continue;
+    if (seq == 0 || seq == kInFlight) continue;
     TraceEvent e;
     e.seq = seq;
-    e.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-    e.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-    e.arg_a = s.arg_a.load(std::memory_order_relaxed);
-    e.arg_b = s.arg_b.load(std::memory_order_relaxed);
-    const std::uint64_t ks = s.kind_shard.load(std::memory_order_relaxed);
+    // Acquire loads keep the re-check below after every field load.
+    e.ts_ns = s.ts_ns.load(std::memory_order_acquire);
+    e.dur_ns = s.dur_ns.load(std::memory_order_acquire);
+    e.arg_a = s.arg_a.load(std::memory_order_acquire);
+    e.arg_b = s.arg_b.load(std::memory_order_acquire);
+    const std::uint64_t ks = s.kind_shard.load(std::memory_order_acquire);
     e.shard = static_cast<std::uint32_t>(ks & 0xffffffffu);
     e.kind = static_cast<TraceEventKind>(ks >> 32);
-    // Re-check: a writer that lapped this slot mid-copy invalidated (or
+    // Re-check: a writer that lapped this slot mid-copy took (or
     // re-published) seq — drop the torn read.
     if (s.seq.load(std::memory_order_acquire) != seq) continue;
     out.push_back(e);

@@ -10,13 +10,15 @@
 // Concurrency: most rings have one writer (the owning shard worker), but
 // the control ring takes events from the producer thread, ingest threads
 // and the watchdog at once — so Record() claims a slot with a fetch_add
-// cursor and every slot field is a relaxed atomic, with the slot's `seq`
-// written last (release). A reader validates seq before AND after copying
-// the payload and drops the slot if a writer lapped it mid-read. Under a
-// full wrap-race two writers can interleave payload stores in the same
-// slot; the seq re-check catches the common tear and a flight recorder
-// tolerates losing a lapped slot by design — it is a diagnostic buffer,
-// not an accounting structure (counters own exactness).
+// cursor, takes it by swapping its `seq` to an in-flight marker, stores
+// the payload and publishes `seq` last (release). A reader validates seq
+// before AND after copying the payload and drops the slot if a writer
+// lapped it mid-read. Under a full wrap-race a second writer that finds
+// the slot still in flight drops its event instead of interleaving its
+// payload with the first writer's, so a dumped slot is never torn; a
+// flight recorder tolerates losing a lapped event by design — it is a
+// diagnostic buffer, not an accounting structure (counters own
+// exactness).
 #pragma once
 
 #include <atomic>
@@ -102,9 +104,12 @@ class EventRing {
   void Reset();
 
  private:
+  /// Slot::seq while one writer owns the slot.
+  static constexpr std::uint64_t kInFlight = ~std::uint64_t{0};
+
   struct Slot {
-    /// 0 = empty/in-flight; otherwise claim index + 1, stored with
-    /// release ordering after the payload.
+    /// 0 = empty; kInFlight = a writer holds it; otherwise claim index + 1,
+    /// stored with release ordering after the payload.
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> ts_ns{0};
     std::atomic<std::uint64_t> dur_ns{0};

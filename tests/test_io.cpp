@@ -763,4 +763,86 @@ TEST(TraceReplayer, PacesDeliveryAndRecordsStats) {
   EXPECT_THROW(io::TraceReplayer(source, zero), std::invalid_argument);
 }
 
+TEST(TraceReplayer, NextNotDueAnswersFromTheSchedule) {
+  // Packets 20ms apart at x2: after a delivery the next one is 10ms out.
+  std::vector<tr::Packet> packets(3);
+  std::vector<tr::TracePacket> trace(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    trace[i].ts_us = i * 20000;
+    trace[i].index = static_cast<std::uint32_t>(i);
+    trace[i].packet = &packets[i];
+  }
+  rt::SpanPacketSource source(trace);
+  io::ReplayOptions ropts;
+  ropts.clock = io::ReplayClock::kSpeedup;
+  ropts.speedup = 2.0;
+  io::TraceReplayer replayer(source, ropts);
+
+  tr::TracePacket tp;
+  EXPECT_FALSE(replayer.NextNotDue()) << "the first packet starts the clock";
+  ASSERT_TRUE(replayer.Next(tp));
+  EXPECT_EQ(tp.index, 0u);
+  for (std::uint32_t i = 1; i < 3; ++i) {
+    EXPECT_TRUE(replayer.NextNotDue()) << "packet " << i << " is 10ms out";
+    // The packet pulled ahead is the one Next delivers, on schedule.
+    ASSERT_TRUE(replayer.Next(tp));
+    EXPECT_EQ(tp.index, i);
+    EXPECT_EQ(tp.packet, &packets[i]);
+  }
+  EXPECT_FALSE(replayer.NextNotDue()) << "end of stream";
+  EXPECT_FALSE(replayer.Next(tp));
+  EXPECT_EQ(replayer.stats().packets, 3u);
+  EXPECT_GE(replayer.stats().wall_ms, 19.0);
+
+  // Afap never waits, so it never reports a packet not due.
+  rt::SpanPacketSource fast_source(trace);
+  io::TraceReplayer fast(fast_source, {});
+  std::size_t n = 0;
+  while (!fast.NextNotDue() && fast.Next(tp)) ++n;
+  EXPECT_EQ(n, 3u);
+}
+
+TEST(TraceReplayer, PacedMultiThreadedServeMatchesSingleThreaded) {
+  // A paced replay leaves the MT ingest thread waiting between packets,
+  // so it pushes its partial stages before every wait: bursts are short
+  // and shards flush as their rings run dry. None of that may change a
+  // decision.
+  const auto ds = tr::Generate(tr::PeerRushSpec(4, 99));
+  const auto lowered = BuildSeqModel(ds, 6);
+  const auto trace = tr::MergeTrace(ds.flows);
+  ASSERT_GT(trace.size(), 1u);
+
+  auto make_opts = [](bool mt) {
+    rt::StreamServerOptions o;
+    o.num_shards = 2;
+    o.flows_per_shard = 1 << 10;
+    o.feature = rt::FeatureKind::kSeq;
+    o.multithreaded = mt;
+    return o;
+  };
+  rt::StreamServer ref_server(lowered, make_opts(false));
+  const auto want = ByFlowPacket(ref_server.Serve(trace));
+  ASSERT_GT(want.size(), 0u);
+
+  // Pace the whole trace into about 200ms of wall time.
+  const std::uint64_t span_us = trace.back().ts_us - trace.front().ts_us;
+  io::ReplayOptions ropts;
+  ropts.clock = io::ReplayClock::kSpeedup;
+  ropts.speedup = std::max(1.0, static_cast<double>(span_us) / 200000.0);
+  rt::SpanPacketSource inner(trace);
+  io::TraceReplayer replayer(inner, ropts);
+  rt::StreamServer server(lowered, make_opts(true));
+  const auto got = ByFlowPacket(server.Serve(replayer));
+  EXPECT_EQ(replayer.stats().packets, trace.size());
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [at, decision] : want) {
+    const auto it = got.find(at);
+    ASSERT_NE(it, got.end()) << "flow " << at.first << " pkt " << at.second;
+    EXPECT_EQ(it->second.first, decision.first)
+        << "flow " << at.first << " pkt " << at.second;
+    EXPECT_EQ(it->second.second, decision.second)
+        << "flow " << at.first << " pkt " << at.second;
+  }
+}
+
 }  // namespace

@@ -13,10 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <thread>
 #include <utility>
 
 #include "compiler/compiler.hpp"
@@ -1097,4 +1101,194 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
   EXPECT_EQ(stats.active_version, 2u);
   EXPECT_EQ(stats.swaps, 2u) << "the failed probe never reached a ring";
   EXPECT_EQ(stats.delta_swaps, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Work-conserving batching: an MT worker flushes its partial batch when its
+// ring runs dry, and MT ingest pushes its partial stages before it waits on
+// the source, so a decision never waits for a batch or a burst to fill.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+rt::StreamServerOptions LiveOptions(bool mt) {
+  rt::StreamServerOptions opts;
+  opts.num_shards = 2;
+  opts.flows_per_shard = 1 << 10;
+  opts.feature = rt::FeatureKind::kSeq;
+  opts.multithreaded = mt;
+  opts.telemetry.attach = true;  // live decision counter, sampling off
+  return opts;
+}
+
+/// Length of the shortest prefix of `trace` in which `filled` packets find
+/// their flow's window full, i.e. the prefix that yields exactly `filled`
+/// decisions once flushed.
+std::size_t PrefixWithFilledWindows(const rt::LoweredModel& model,
+                                    std::span<const tr::TracePacket> trace,
+                                    std::uint64_t filled) {
+  rt::StreamServer st(model, LiveOptions(false));
+  std::size_t n = 0;
+  for (; n < trace.size(); ++n) {
+    const auto stats = st.Stats();
+    if (stats.packets - stats.warmup == filled) break;
+    st.Push(trace[n]);
+  }
+  return n;
+}
+
+/// Polls the live decision counter until it reaches `want` or `timeout`
+/// passes, and returns the last count seen. The timeout is generous: only
+/// a server that never decides while running waits it out.
+std::uint64_t AwaitLiveDecisions(const rt::StreamServer& server,
+                                 std::uint64_t want,
+                                 std::chrono::seconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::uint64_t seen = 0;
+  while ((seen = server.TelemetrySnapshot().decisions) < want &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return seen;
+}
+
+void ExpectSameDecisions(std::vector<rt::StreamDecision> got,
+                         std::vector<rt::StreamDecision> want) {
+  SortDecisions(got);
+  SortDecisions(want);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].flow, want[i].flow);
+    ASSERT_EQ(got[i].index, want[i].index);
+    EXPECT_EQ(got[i].predicted, want[i].predicted)
+        << "flow " << got[i].flow << " pkt " << got[i].index;
+    EXPECT_EQ(got[i].score, want[i].score);
+    EXPECT_EQ(got[i].version, want[i].version)
+        << "flow " << got[i].flow << " pkt " << got[i].index;
+  }
+}
+
+/// Delivers a trace, but once `pause_at` packets are out it reports the
+/// next packet not due and holds it in Next() until Resume() — a live
+/// source that paused.
+class PausingSource final : public rt::PacketSource {
+ public:
+  PausingSource(std::span<const tr::TracePacket> trace, std::size_t pause_at)
+      : inner_(trace), pause_at_(pause_at) {}
+
+  bool Next(tr::TracePacket& out) override {
+    if (at_ == pause_at_) {
+      while (!resumed_.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    ++at_;
+    return inner_.Next(out);
+  }
+  bool NextNotDue() override {
+    return at_ == pause_at_ && !resumed_.load(std::memory_order_acquire);
+  }
+  void Resume() { resumed_.store(true, std::memory_order_release); }
+
+ private:
+  rt::SpanPacketSource inner_;
+  std::size_t pause_at_;
+  std::size_t at_ = 0;
+  std::atomic<bool> resumed_{false};
+};
+
+}  // namespace
+
+TEST(StreamServerIdleFlush, PausedFlowDecisionsAppearWhileServing) {
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 53));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto model = Build16DimModel(offline.x, offline.size(), 5);
+  const auto trace = tr::MergeTrace(ds.flows);
+  const std::uint64_t filled = LiveOptions(true).batch_size / 2;
+  const std::size_t prefix = PrefixWithFilledWindows(model, trace, filled);
+  const auto head = std::span<const tr::TracePacket>(trace).first(prefix);
+
+  rt::StreamServer st(model, LiveOptions(false));
+  const auto want = st.Serve(head);
+  ASSERT_EQ(want.size(), filled);
+
+  // Fewer than batch_size window-full packets, then the traffic stops:
+  // both shards hold a partial batch and nothing else will ever arrive.
+  rt::StreamServer mt(model, LiveOptions(true));
+  mt.Start();
+  for (const auto& p : head) mt.Push(p);
+  const std::uint64_t seen =
+      AwaitLiveDecisions(mt, filled, std::chrono::seconds(20));
+  EXPECT_EQ(seen, filled)
+      << "a paused flow's decisions must appear while the server runs";
+  mt.Stop();
+  ExpectSameDecisions(mt.TakeDecisions(), want);
+}
+
+TEST(StreamServerIdleFlush, PausedSourceStagedPacketsAreDecidedBeforeResume) {
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 55));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto model = Build16DimModel(offline.x, offline.size(), 6);
+  const auto trace = tr::MergeTrace(ds.flows);
+  // Fewer packets per shard than one ingest burst: without the push
+  // before the wait they would sit in the ingest stage until Resume.
+  const std::uint64_t filled = 16;
+  const std::size_t prefix = PrefixWithFilledWindows(model, trace, filled);
+  ASSERT_LT(prefix, LiveOptions(true).burst);
+
+  rt::StreamServer st(model, LiveOptions(false));
+  const auto want = st.Serve(trace);
+
+  rt::StreamServer mt(model, LiveOptions(true));
+  PausingSource source(trace, prefix);
+  std::vector<rt::StreamDecision> got;
+  std::thread ingest([&] { got = mt.Serve(source); });
+  const std::uint64_t seen =
+      AwaitLiveDecisions(mt, filled, std::chrono::seconds(20));
+  source.Resume();
+  ingest.join();
+  EXPECT_EQ(seen, filled)
+      << "packets staged before a source pause must be decided during it";
+  ExpectSameDecisions(std::move(got), want);
+}
+
+TEST(StreamServerIdleFlush, MidStreamIdleFlushesKeepMtEqualToStAcrossSwaps) {
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 54));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto fx = BuildDeltaFixture(offline.x, offline.size());
+  const auto trace = tr::MergeTrace(ds.flows);
+  const std::size_t delta_at = trace.size() / 3;
+  const std::size_t full_at = 2 * trace.size() / 3;
+  constexpr std::size_t kChunk = 100;
+
+  auto serve = [&](bool mt) {
+    rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, mt));
+    if (mt) server.Start();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (i == delta_at) server.SwapModelDelta(fx.patches, 2);
+      if (i == full_at) server.SwapModel(Alias(*fx.v1.lowered), 3);
+      server.Push(trace[i]);
+      // A pause after every chunk lets the rings run dry, so MT workers
+      // flush partial batches mid-stream.
+      if (mt && (i + 1) % kChunk == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    if (mt) {
+      server.Stop();
+    } else {
+      server.Flush();
+    }
+    return std::pair(server.TakeDecisions(), server.Stats());
+  };
+  const auto [st, st_stats] = serve(false);
+  const auto [mt, mt_stats] = serve(true);
+
+  std::set<std::uint64_t> versions;
+  for (const auto& d : st) versions.insert(d.version);
+  EXPECT_EQ(versions, (std::set<std::uint64_t>{1, 2, 3}));
+  ExpectSameDecisions(mt, st);
+  EXPECT_EQ(mt_stats.decisions, st_stats.decisions);
+  EXPECT_GT(mt_stats.batches, st_stats.batches)
+      << "MT workers must have flushed partial batches while idle";
 }
