@@ -175,8 +175,7 @@ class FlowTable {
     return static_cast<double>(size_) / static_cast<double>(capacity_);
   }
 
-  /// Counters plus an occupancy snapshot (resident/slots) — what the
-  /// StreamServer aggregates per shard.
+  /// Counters plus an occupancy snapshot (resident/slots).
   FlowTableStats SnapshotStats() const {
     FlowTableStats s = stats_;
     s.resident = size_;
@@ -185,8 +184,9 @@ class FlowTable {
   }
 
   /// Zeroes the counters; resident entries (and their LRU stamps) are
-  /// untouched. Lets the StreamServer report per-phase stats — e.g. before
-  /// vs after a model swap — without disturbing live flow state.
+  /// untouched. The StreamServer drains the counters into its shard's
+  /// counter block at each batch flush and resets them here, without
+  /// disturbing live flow state.
   void ResetStats() { stats_ = {}; }
 
   /// Batch key-gather hook: software-prefetches the metadata line(s) of

@@ -1,10 +1,12 @@
 #include "runtime/stream_server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "runtime/fault.hpp"
 #include "runtime/spsc_queue.hpp"
@@ -109,7 +111,104 @@ class Escalator {
   std::size_t round_ = 0;
 };
 
+/// Single-writer increment: a relaxed load + store, no locked RMW. Only
+/// the cell's one writing thread may call it.
+void Bump(std::atomic<std::uint64_t>& cell, std::uint64_t n = 1) {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+}
+
+std::uint64_t Load(const std::atomic<std::uint64_t>& cell) {
+  return cell.load(std::memory_order_relaxed);
+}
+
+/// A stats struct made only of uint64 counters (FlowTableStats,
+/// InferenceEngine::Stats) held as single-writer cells: the owner adds a
+/// batch of tallies field by field, any thread reads the struct back.
+template <typename Stats>
+class CountCells {
+  static_assert(std::has_unique_object_representations_v<Stats> &&
+                sizeof(Stats) % sizeof(std::uint64_t) == 0);
+  static constexpr std::size_t kCount = sizeof(Stats) / sizeof(std::uint64_t);
+  using Raw = std::array<std::uint64_t, kCount>;
+
+ public:
+  void Add(const Stats& stats) {
+    const auto raw = std::bit_cast<Raw>(stats);
+    for (std::size_t i = 0; i < kCount; ++i) Bump(cells_[i], raw[i]);
+  }
+  Stats Read() const {
+    Raw raw;
+    for (std::size_t i = 0; i < kCount; ++i) raw[i] = Load(cells_[i]);
+    return std::bit_cast<Stats>(raw);
+  }
+  void Reset() {
+    for (auto& cell : cells_) cell.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kCount> cells_{};
+};
+
+/// SwapModelDelta's O(delta) accounting, in StreamServerStats' order:
+/// successful delta publishes, bytes pushed, the match indexes' delta
+/// counters and clone+patch wall time.
+struct DeltaCounts {
+  std::uint64_t swaps, bytes_pushed, deltas_applied, leaf_words_patched,
+      reseals_avoided, apply_ns, wall_ns;
+};
+
 }  // namespace
+
+/// One shard's counters: the only place a shard count is stored, and what
+/// Stats(), Health() and TelemetrySnapshot() read, live, from any thread.
+/// Every field has exactly one writing thread, which bumps it with Bump;
+/// only shed_misrouted, which any ingest thread may write, takes a
+/// fetch_add. Each writer's fields start a cache line of their own, so no
+/// counter line is written by two cores. A live read of one field is
+/// exact and never goes backwards; reads of different fields are mutually
+/// unordered, and exact together once the server is quiesced.
+struct alignas(64) StreamServer::ShardCounters {
+  using Cell = std::atomic<std::uint64_t>;
+
+  // The owner: the shard's worker in multi-threaded mode, the Push caller
+  // otherwise. The heartbeat counts worker loop iterations, idle ones too.
+  Cell heartbeat{0}, packets{0}, warmup{0}, decisions{0}, batches{0};
+  Cell swaps{0}, swap_wall_ns{0}, ring_depth_hwm{0};
+  Cell shed_inference{0}, inference_faults{0}, batches_dropped{0};
+  // Drained from the flow table and the engine by Shard::PublishTallies.
+  CountCells<FlowTableStats> table;
+  CountCells<InferenceEngine::Stats> engine;
+  Cell flows_resident{0};
+
+  // The ingest thread that owns the shard's ring (the Push caller), and
+  // for misroutes any other ingest thread.
+  alignas(64) Cell shed_ring_full{0};
+  Cell shed_misrouted{0};
+
+  // The watchdog.
+  alignas(64) Cell stall_events{0};
+  std::atomic<bool> stalled{false};
+
+  /// Zeroes every count (quiesced only). The heartbeat and the resident
+  /// flow count describe live state, not a phase, and keep their values.
+  void Reset() {
+    for (Cell* cell : {&packets, &warmup, &decisions, &batches, &swaps,
+                       &swap_wall_ns, &ring_depth_hwm, &shed_inference,
+                       &inference_faults, &batches_dropped, &shed_ring_full,
+                       &shed_misrouted, &stall_events}) {
+      cell->store(0, std::memory_order_relaxed);
+    }
+    table.Reset();
+    engine.Reset();
+    stalled.store(false, std::memory_order_relaxed);
+  }
+};
+
+/// The producer's counter block: written only by the producer thread,
+/// read live by Stats().
+struct alignas(64) StreamServer::ProducerCounters : CountCells<DeltaCounts> {
+};
 
 /// One ring element in multi-threaded mode: either a packet or an in-band
 /// control item (`swap != nullptr`) that retires the shard's model at
@@ -165,36 +264,30 @@ struct StreamServer::Shard {
     }
   }
 
-  /// Counters + occupancy snapshot; a not-yet-built (deferred) table
-  /// reports zero counters over `slot_count` slots.
-  FlowTableStats TableStats() const {
-    if (table) return table->SnapshotStats();
-    if (raw_table) return raw_table->SnapshotStats();
-    FlowTableStats s;
-    s.slots = slot_count;
-    return s;
+  /// Calls `f` on the shard's flow table, if it has been built.
+  template <typename F>
+  void WithTable(F&& f) {
+    if (table) f(*table);
+    if (raw_table) f(*raw_table);
   }
-  void ResetTableStats() {
-    if (table) {
-      table->ResetStats();
-    } else if (raw_table) {
-      raw_table->ResetStats();
-    }
-  }
-  std::size_t FlowsResident() const {
-    return table ? table->size() : raw_table ? raw_table->size() : 0;
+
+  /// Drains the flow table's and the engine's own counters into the
+  /// counter block and refreshes the resident-flow count. Owner thread
+  /// only: at the end of every flush, before an engine is retired, on
+  /// worker exit and on Flush().
+  void PublishTallies() {
+    WithTable([this](auto& t) {
+      counters.table.Add(t.stats());
+      t.ResetStats();
+      counters.flows_resident.store(t.size(), std::memory_order_relaxed);
+    });
+    counters.engine.Add(engine->stats());
+    engine->ResetStats();
   }
   std::size_t TableSramBits(std::size_t bits_per_flow) const {
     // Priced from the configured slot count so accounting works before a
     // deferred table is built (matches FlowTable::SramBits exactly).
     return dataplane::FlowTableSramBits(bits_per_flow, slot_count);
-  }
-  void PrefetchFlow(const dataplane::FlowKey& key) const {
-    if (table) {
-      table->Prefetch(key);
-    } else if (raw_table) {
-      raw_table->Prefetch(key);
-    }
   }
 
   std::unique_ptr<FlowTable<traffic::OnlineFlowState>> table;
@@ -209,10 +302,6 @@ struct StreamServer::Shard {
   /// while running; swapped together at packet boundaries (ApplySwap).
   std::shared_ptr<const ServingState> serving;
   std::unique_ptr<InferenceEngine> engine;
-  /// Work counters of engines retired by swaps; Stats() reports
-  /// engine_carry + the current engine's counters so a run containing
-  /// swaps still accounts every inferred packet.
-  InferenceEngine::Stats engine_carry;
   std::size_t out_dim = 0;
   std::vector<float> features;  // batch_size x dim rows
   std::vector<float> logits;    // batch_size x out_dim
@@ -224,33 +313,7 @@ struct StreamServer::Shard {
   std::size_t slot_count = 0;
   std::size_t pending = 0;
   std::vector<StreamDecision> decisions;
-  std::uint64_t packets = 0;
-  std::uint64_t warmup = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t decided = 0;
-  std::uint64_t swaps = 0;
-  double swap_wall_ms = 0.0;
-  /// Self-healing counters (worker-owned, read after Stop like `packets`).
-  std::uint64_t shed_inference = 0;
-  std::uint64_t inference_faults = 0;
-  std::uint64_t batches_dropped = 0;
-  /// Ingest-side shed counters. ring_full has a single writer (the ingest
-  /// thread owning this shard) but misroutes can come from ANY ingest
-  /// thread — both are atomics so Stats() reads stay race-free under TSan.
-  std::atomic<std::uint64_t> shed_ring_full{0};
-  std::atomic<std::uint64_t> shed_misrouted{0};
-  /// Liveness counters: written by the worker, sampled lock-free by the
-  /// watchdog and Health(). Own cache line so the watchdog's polling
-  /// never bounces the worker's hot counters.
-  alignas(64) std::atomic<std::uint64_t> heartbeat{0};
-  std::atomic<std::uint64_t> processed{0};
-  std::atomic<bool> stalled{false};
-  std::atomic<std::uint64_t> stall_events{0};
-  /// Highest ring occupancy the worker has observed (burst in hand +
-  /// SizeApprox remainder at each drain). Single writer (the worker);
-  /// Health()/TelemetrySnapshot() read it live. Telemetry-independent:
-  /// tracked even with telemetry detached.
-  std::atomic<std::size_t> ring_depth_hwm{0};
+  ShardCounters counters;
   /// Only allocated in multi-threaded mode.
   std::unique_ptr<SpscQueue<ShardItem>> queue;
   std::thread worker;
@@ -258,7 +321,9 @@ struct StreamServer::Shard {
 
 StreamServer::StreamServer(std::shared_ptr<const LoweredModel> model,
                            StreamServerOptions opts, std::uint64_t version)
-    : opts_(opts), dim_(FeatureDim(opts.feature)) {
+    : opts_(opts),
+      dim_(FeatureDim(opts.feature)),
+      producer_(std::make_unique<ProducerCounters>()) {
   if (model == nullptr) {
     throw std::invalid_argument("StreamServer: null model");
   }
@@ -328,10 +393,6 @@ void StreamServer::Push(const traffic::TracePacket& packet) {
   const std::uint32_t stamp =
       (tele_ != nullptr && push_sampler_.Sample()) ? tele_->Stamp32() : 0;
   if (!running_) {
-    // `processed` mirrors the MT worker counter so live pps reads work in
-    // both modes (relaxed add, single writer — the producer IS the
-    // processor here).
-    shard.processed.fetch_add(1, std::memory_order_relaxed);
     Process(shard, packet, stamp);
     return;
   }
@@ -345,7 +406,7 @@ void StreamServer::Push(const traffic::TracePacket& packet) {
   while (FaultFires(FaultSite::kRingPushStall) ||
          !shard.queue->TryPush(std::move(item))) {
     if (opts_.shed && esc.Exhausted()) {
-      shard.shed_ring_full.fetch_add(1, std::memory_order_relaxed);
+      Bump(shard.counters.shed_ring_full);
       // Per-packet sheds are a high-rate event under sustained overload:
       // trace only the sampled packets (same 1-in-N as packet spans), or
       // a drop storm evicts every lifecycle event from the fixed ring.
@@ -380,7 +441,7 @@ void StreamServer::PushStage(Shard& shard, std::span<ShardItem> items) {
       // that stayed full through the whole escalation ladder — shed it
       // here, deterministically, instead of stalling every other shard
       // this ingest thread feeds.
-      shard.shed_ring_full.fetch_add(rest.size(), std::memory_order_relaxed);
+      Bump(shard.counters.shed_ring_full, rest.size());
       if (shard.tele != nullptr) {
         // The shard's event ring is multi-writer safe (claim cursor +
         // per-slot seq), so the ingest thread can drop the shed marker
@@ -446,7 +507,8 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
       // The partition function disagrees with the shard map: shard s's
       // ring has another producer, so enqueueing from here would break the
       // SPSC invariant. Count and shed — zero under a correct partitioner.
-      shards_[s]->shed_misrouted.fetch_add(1, std::memory_order_relaxed);
+      shards_[s]->counters.shed_misrouted.fetch_add(
+          1, std::memory_order_relaxed);
       if (shards_[s]->tele != nullptr) {
         shards_[s]->tele->ring.Record(telemetry::TraceEventKind::kShed,
                                       static_cast<std::uint32_t>(s),
@@ -517,26 +579,21 @@ void StreamServer::SwapModelDelta(
   const std::size_t bytes = patched->ApplyDelta(patches);
   const auto after = patched->pipeline().MatchIndexReport();
   PublishState(MakeServingState(std::move(patched), version));
-  const auto t1 = std::chrono::steady_clock::now();
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   // Account only on success: a failed publish discarded the clone and the
   // server still serves (and re-reports) the previous version.
   if (tele_ != nullptr) {
-    tele_->control_ring().Record(
-        telemetry::TraceEventKind::kDeltaApply,
-        telemetry::TraceEvent::kControlTrack, tele_->NowNs(),
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()),
-        version, bytes);
+    tele_->control_ring().Record(telemetry::TraceEventKind::kDeltaApply,
+                                 telemetry::TraceEvent::kControlTrack,
+                                 tele_->NowNs(), wall_ns, version, bytes);
   }
-  ++delta_swaps_;
-  delta_bytes_pushed_ += bytes;
-  deltas_applied_ += after.deltas_applied - before.deltas_applied;
-  leaf_words_patched_ += after.leaf_words_patched - before.leaf_words_patched;
-  reseals_avoided_ += after.reseals_avoided - before.reseals_avoided;
-  delta_apply_ns_ += after.delta_apply_ns - before.delta_apply_ns;
-  delta_swap_wall_ms_ +=
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  producer_->Add({1, bytes, after.deltas_applied - before.deltas_applied,
+                  after.leaf_words_patched - before.leaf_words_patched,
+                  after.reseals_avoided - before.reseals_avoided,
+                  after.delta_apply_ns - before.delta_apply_ns, wall_ns});
 }
 
 void StreamServer::PublishState(std::shared_ptr<const ServingState> next) {
@@ -643,22 +700,21 @@ void StreamServer::ApplySwap(Shard& shard,
   // (and its stats), so the caller's rollback has nothing to repair here.
   auto incoming =
       std::make_unique<InferenceEngine>(*next->model, opts_.batch_size);
-  shard.engine_carry += shard.engine->stats();
+  shard.PublishTallies();  // the outgoing engine's work stays counted
   shard.engine = std::move(incoming);
   shard.out_dim = next->model->OutputDim();
   shard.logits.resize(opts_.batch_size * shard.out_dim);
   shard.serving = std::move(next);
-  const auto t1 = std::chrono::steady_clock::now();
-  ++shard.swaps;
-  shard.swap_wall_ms +=
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const auto gap_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  Bump(shard.counters.swaps);
+  Bump(shard.counters.swap_wall_ns, gap_ns);
   if (shard.tele != nullptr) {
     // The serving gap is a lifecycle event, not a sampled one: every
     // apply lands in the swap_publish histogram and on the shard's trace
     // track, so a slow rebuild is visible even at sample_every == 0.
-    const auto gap_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
     shard.tele->stages.Record(telemetry::Stage::kSwapPublish, gap_ns);
     shard.tele->ring.Record(telemetry::TraceEventKind::kSwapApply,
                             shard.index, tele_->NowNs(), gap_ns,
@@ -672,7 +728,7 @@ void StreamServer::Process(Shard& shard, const traffic::TracePacket& packet,
   // get here first without a worker is Push() before Start(), where the
   // caller owns the shard — build on demand (idempotent, single-threaded).
   if (!shard.table && !shard.raw_table) shard.EnsureTables();
-  ++shard.packets;
+  Bump(shard.counters.packets);
   // Sampled packets (nonzero stamp, telemetry attached) pay three extra
   // clock reads to split lookup from extraction; everything else takes
   // one predictable branch here and none below.
@@ -708,7 +764,7 @@ void StreamServer::Process(Shard& shard, const traffic::TracePacket& packet,
     shard.tele->stages.Record(telemetry::Stage::kFeatureExtract, t2 - t1);
   }
   if (!full) {
-    ++shard.warmup;
+    Bump(shard.counters.warmup);
     return;
   }
   shard.meta[shard.pending] = {packet.key.digest, packet.flow, packet.index,
@@ -742,16 +798,16 @@ void StreamServer::FlushShard(Shard& shard) {
           std::span<float>(shard.logits.data(), n * out_dim));
       break;
     } catch (const std::exception&) {
-      ++shard.inference_faults;
+      Bump(shard.counters.inference_faults);
       if (attempt >= opts_.inference_retries) {
-        shard.shed_inference += n;
-        ++shard.batches_dropped;
+        Bump(shard.counters.shed_inference, n);
+        Bump(shard.counters.batches_dropped);
         shard.pending = 0;
         if (tele != nullptr) {
-          tele->shed_inference.Add(n);
           tele->ring.Record(telemetry::TraceEventKind::kShed, shard.index,
                             tele_->NowNs(), 0, n, /*reason=*/2);
         }
+        shard.PublishTallies();
         return;
       }
       if (opts_.inference_retry_backoff_us != 0) {
@@ -794,28 +850,26 @@ void StreamServer::FlushShard(Shard& shard) {
     }
     shard.decisions.push_back(decision);
   }
-  ++shard.batches;
-  shard.decided += n;
+  // Published at the end of every flush: a live reader polling the
+  // decision count sees each batch the moment it is emitted.
+  Bump(shard.counters.batches);
+  Bump(shard.counters.decisions, n);
   shard.pending = 0;
-  if (tele != nullptr) {
-    tele->decisions.Add(n);
-    if (timed) {
-      tele->stages.Record(telemetry::Stage::kInferFlush,
-                          tele_->NowNs() - flush_t0);
-    }
-    // Refresh the live hit-rate gauges from the (worker-private) table
-    // counters — once per flush, so the live snapshot sees them move.
-    const FlowTableStats ts = shard.TableStats();
-    tele->table_hits.Set(ts.hits);
-    tele->table_misses.Set(ts.misses);
+  if (timed) {
+    tele->stages.Record(telemetry::Stage::kInferFlush,
+                        tele_->NowNs() - flush_t0);
   }
+  shard.PublishTallies();
 }
 
 void StreamServer::Flush() {
   if (running_) {
     throw std::logic_error("StreamServer::Flush: workers are running");
   }
-  for (auto& shard : shards_) FlushShard(*shard);
+  for (auto& shard : shards_) {
+    FlushShard(*shard);
+    shard->PublishTallies();
+  }
 }
 
 void StreamServer::Start() {
@@ -850,7 +904,7 @@ void StreamServer::Stop() {
   // sample said, a quiesced server is not stalled. stall_events stays — a
   // recovered stall remains part of the run's history.
   for (auto& shard : shards_) {
-    shard->stalled.store(false, std::memory_order_relaxed);
+    shard->counters.stalled.store(false, std::memory_order_relaxed);
   }
   running_ = false;
 }
@@ -861,18 +915,19 @@ void StreamServer::WatchdogLoop() {
   std::vector<std::size_t> stagnant(shards_.size(), 0);
   while (!watchdog_stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(interval);
-    watchdog_checks_.fetch_add(1, std::memory_order_relaxed);
+    Bump(watchdog_checks_);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& s = *shards_[i];
-      const std::uint64_t beat = s.heartbeat.load(std::memory_order_relaxed);
+      ShardCounters& c = s.counters;
+      const std::uint64_t beat = Load(c.heartbeat);
       const bool has_work = s.queue && s.queue->SizeApprox() != 0;
       if (beat == last_beat[i] && has_work) {
         // Worker hasn't ticked since the last sample while its ring
         // holds work: count toward a stall verdict.
         if (++stagnant[i] >= opts_.watchdog_stall_intervals &&
-            !s.stalled.load(std::memory_order_relaxed)) {
-          s.stalled.store(true, std::memory_order_relaxed);
-          s.stall_events.fetch_add(1, std::memory_order_relaxed);
+            !c.stalled.load(std::memory_order_relaxed)) {
+          c.stalled.store(true, std::memory_order_relaxed);
+          Bump(c.stall_events);
           if (tele_ != nullptr) {
             tele_->control_ring().Record(telemetry::TraceEventKind::kStall,
                                          s.index, tele_->NowNs(), 0,
@@ -882,8 +937,8 @@ void StreamServer::WatchdogLoop() {
       } else {
         // Progress (or an empty ring): self-clear.
         stagnant[i] = 0;
-        if (s.stalled.load(std::memory_order_relaxed)) {
-          s.stalled.store(false, std::memory_order_relaxed);
+        if (c.stalled.load(std::memory_order_relaxed)) {
+          c.stalled.store(false, std::memory_order_relaxed);
           if (tele_ != nullptr) {
             tele_->control_ring().Record(
                 telemetry::TraceEventKind::kStallClear, s.index,
@@ -902,14 +957,14 @@ ServerHealth StreamServer::Health() const {
   health.watchdog_checks = watchdog_checks_.load(std::memory_order_relaxed);
   health.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
+    const ShardCounters& c = shard->counters;
     ShardHealth sh;
-    sh.heartbeat = shard->heartbeat.load(std::memory_order_relaxed);
-    sh.processed = shard->processed.load(std::memory_order_relaxed);
+    sh.heartbeat = Load(c.heartbeat);
+    sh.processed = Load(c.packets);
     sh.ring_depth = shard->queue ? shard->queue->SizeApprox() : 0;
-    sh.ring_depth_hwm =
-        shard->ring_depth_hwm.load(std::memory_order_relaxed);
-    sh.stalled = shard->stalled.load(std::memory_order_relaxed);
-    sh.stall_events = shard->stall_events.load(std::memory_order_relaxed);
+    sh.ring_depth_hwm = Load(c.ring_depth_hwm);
+    sh.stalled = c.stalled.load(std::memory_order_relaxed);
+    sh.stall_events = Load(c.stall_events);
     health.stall_events += sh.stall_events;
     if (sh.stalled) ++health.stalled_shards;
     health.shards.push_back(sh);
@@ -929,24 +984,22 @@ telemetry::TelemetrySnapshot StreamServer::TelemetrySnapshot() const {
   snap.shards.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = *shards_[i];
+    const ShardCounters& c = shard.counters;
     telemetry::ShardTelemetrySnapshot sh;
-    sh.heartbeat = shard.heartbeat.load(std::memory_order_relaxed);
-    sh.processed = shard.processed.load(std::memory_order_relaxed);
+    sh.heartbeat = Load(c.heartbeat);
+    sh.processed = Load(c.packets);
+    sh.decisions = Load(c.decisions);
     sh.ring_depth = shard.queue ? shard.queue->SizeApprox() : 0;
-    sh.ring_depth_hwm =
-        shard.ring_depth_hwm.load(std::memory_order_relaxed);
-    sh.shed_ring_full =
-        shard.shed_ring_full.load(std::memory_order_relaxed);
-    sh.shed_misrouted =
-        shard.shed_misrouted.load(std::memory_order_relaxed);
-    sh.stalled = shard.stalled.load(std::memory_order_relaxed);
-    snap.stall_events +=
-        shard.stall_events.load(std::memory_order_relaxed);
+    sh.ring_depth_hwm = Load(c.ring_depth_hwm);
+    sh.shed_ring_full = Load(c.shed_ring_full);
+    sh.shed_misrouted = Load(c.shed_misrouted);
+    sh.shed_inference = Load(c.shed_inference);
+    const FlowTableStats table = c.table.Read();
+    sh.table_hits = table.hits;
+    sh.table_misses = table.misses;
+    sh.stalled = c.stalled.load(std::memory_order_relaxed);
+    snap.stall_events += Load(c.stall_events);
     if (shard.tele != nullptr) {
-      sh.decisions = shard.tele->decisions.value();
-      sh.shed_inference = shard.tele->shed_inference.value();
-      sh.table_hits = shard.tele->table_hits.value();
-      sh.table_misses = shard.tele->table_misses.value();
       for (std::size_t s = 0; s < telemetry::kNumStages; ++s) {
         merged[s].Merge(
             shard.tele->stages.Snapshot(static_cast<telemetry::Stage>(s)));
@@ -1002,6 +1055,7 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
   // processed, its flow entry is (likely) already in flight to this core's
   // cache.
   std::vector<ShardItem> burst(opts_.burst);
+  ShardCounters& c = shard.counters;
   std::size_t hwm = 0;
   const auto drain = [&](std::size_t n) {
     // Ring-depth high watermark: the burst in hand plus what is still
@@ -1010,7 +1064,7 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
     const std::size_t depth = n + shard.queue->SizeApprox();
     if (depth > hwm) {
       hwm = depth;
-      shard.ring_depth_hwm.store(depth, std::memory_order_relaxed);
+      c.ring_depth_hwm.store(depth, std::memory_order_relaxed);
     }
     if (shard.tele != nullptr) {
       // Ring dwell closes here for every sampled packet in the burst —
@@ -1026,10 +1080,10 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
       }
     }
     for (std::size_t i = 0; i < n; ++i) {
-      if (!burst[i].swap) shard.PrefetchFlow(burst[i].packet.key);
+      if (burst[i].swap) continue;
+      shard.WithTable([&](auto& t) { t.Prefetch(burst[i].packet.key); });
     }
     for (std::size_t i = 0; i < n; ++i) handle(burst[i]);
-    shard.processed.fetch_add(n, std::memory_order_relaxed);
     // Worker fault sites, after a burst so backpressure is real: kSlow is
     // a hiccup shorter than the watchdog window; kStuck freezes the
     // heartbeat long enough for the watchdog to flag (and then clear)
@@ -1055,7 +1109,7 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
     // The heartbeat ticks every loop iteration, idle ones included: a
     // live-but-idle worker keeps beating, so the watchdog's stall signal
     // (stagnant heartbeat + non-empty ring) has no idle false positives.
-    shard.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    Bump(c.heartbeat);
     const std::size_t n = shard.queue->TryPopBurst(std::span<ShardItem>(burst));
     if (n != 0) {
       idle = 0;
@@ -1075,6 +1129,7 @@ void StreamServer::WorkerLoop(Shard& shard, int cpu) {
     std::this_thread::yield();
   }
   FlushShard(shard);
+  shard.PublishTallies();
 }
 
 std::vector<StreamDecision> StreamServer::Serve(
@@ -1193,49 +1248,46 @@ std::vector<StreamDecision> StreamServer::TakeDecisions() {
 }
 
 StreamServerStats StreamServer::Stats() const {
-  if (running_) {
-    throw std::logic_error(
-        "StreamServer::Stats: workers are running (Stop first)");
-  }
   StreamServerStats stats;
-  const FlowStateSpec spec = OnlineFlowStateSpec(opts_.feature);
-  stats.stateful_bits_per_flow = spec.BitsPerFlow();
-  stats.active_version = serving_->version;
-  stats.watchdog_checks = watchdog_checks_.load(std::memory_order_relaxed);
+  stats.stateful_bits_per_flow =
+      OnlineFlowStateSpec(opts_.feature).BitsPerFlow();
+  stats.active_version = published_version_.load(std::memory_order_relaxed);
+  stats.watchdog_checks = Load(watchdog_checks_);
   stats.shard_shed.reserve(shards_.size());
   stats.shard_packets.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    stats.packets += shard->packets;
-    stats.shard_packets.push_back(shard->packets);
-    stats.warmup += shard->warmup;
-    stats.decisions += shard->decided;
-    stats.batches += shard->batches;
-    const ShedStats shed{
-        shard->shed_ring_full.load(std::memory_order_relaxed),
-        shard->shed_misrouted.load(std::memory_order_relaxed),
-        shard->shed_inference};
+    const ShardCounters& c = shard->counters;
+    stats.packets += Load(c.packets);
+    stats.shard_packets.push_back(Load(c.packets));
+    stats.warmup += Load(c.warmup);
+    stats.decisions += Load(c.decisions);
+    stats.batches += Load(c.batches);
+    const ShedStats shed{Load(c.shed_ring_full), Load(c.shed_misrouted),
+                         Load(c.shed_inference)};
     stats.shed += shed;
     stats.shard_shed.push_back(shed);
-    stats.inference_faults += shard->inference_faults;
-    stats.batches_dropped += shard->batches_dropped;
-    stats.stall_events +=
-        shard->stall_events.load(std::memory_order_relaxed);
-    stats.table += shard->TableStats();
-    stats.engine += shard->engine_carry;
-    stats.engine += shard->engine->stats();
-    stats.flows_resident += shard->FlowsResident();
+    stats.inference_faults += Load(c.inference_faults);
+    stats.batches_dropped += Load(c.batches_dropped);
+    stats.stall_events += Load(c.stall_events);
+    FlowTableStats table = c.table.Read();
+    table.resident = Load(c.flows_resident);
+    table.slots = shard->slot_count;
+    stats.table += table;
+    stats.engine += c.engine.Read();
+    stats.flows_resident += Load(c.flows_resident);
     stats.flow_table_sram_bits +=
         shard->TableSramBits(stats.stateful_bits_per_flow);
-    stats.swaps += shard->swaps;
-    stats.swap_wall_ms += shard->swap_wall_ms;
+    stats.swaps += Load(c.swaps);
+    stats.swap_wall_ms += static_cast<double>(Load(c.swap_wall_ns)) * 1e-6;
   }
-  stats.delta_swaps = delta_swaps_;
-  stats.delta_bytes_pushed = delta_bytes_pushed_;
-  stats.deltas_applied = deltas_applied_;
-  stats.leaf_words_patched = leaf_words_patched_;
-  stats.reseals_avoided = reseals_avoided_;
-  stats.delta_apply_ns = delta_apply_ns_;
-  stats.delta_swap_wall_ms = delta_swap_wall_ms_;
+  const DeltaCounts delta = producer_->Read();
+  stats.delta_swaps = delta.swaps;
+  stats.delta_bytes_pushed = delta.bytes_pushed;
+  stats.deltas_applied = delta.deltas_applied;
+  stats.leaf_words_patched = delta.leaf_words_patched;
+  stats.reseals_avoided = delta.reseals_avoided;
+  stats.delta_apply_ns = delta.apply_ns;
+  stats.delta_swap_wall_ms = static_cast<double>(delta.wall_ns) * 1e-6;
   return stats;
 }
 
@@ -1245,32 +1297,14 @@ void StreamServer::ResetStats() {
         "StreamServer::ResetStats: workers are running (Stop first)");
   }
   for (auto& shard : shards_) {
-    shard->packets = 0;
-    shard->warmup = 0;
-    shard->batches = 0;
-    shard->decided = 0;
-    shard->swaps = 0;
-    shard->swap_wall_ms = 0.0;
-    shard->shed_ring_full.store(0, std::memory_order_relaxed);
-    shard->shed_misrouted.store(0, std::memory_order_relaxed);
-    shard->shed_inference = 0;
-    shard->inference_faults = 0;
-    shard->batches_dropped = 0;
-    shard->stall_events.store(0, std::memory_order_relaxed);
-    shard->stalled.store(false, std::memory_order_relaxed);
-    shard->ring_depth_hwm.store(0, std::memory_order_relaxed);
-    shard->ResetTableStats();
-    shard->engine_carry = {};
+    shard->counters.Reset();
+    // The table's and engine's own counters hold only what the next
+    // publish would have drained; drop it with the rest.
+    shard->WithTable([](auto& t) { t.ResetStats(); });
     shard->engine->ResetStats();
   }
   if (tele_ != nullptr) tele_->Reset();
-  delta_swaps_ = 0;
-  delta_bytes_pushed_ = 0;
-  deltas_applied_ = 0;
-  leaf_words_patched_ = 0;
-  reseals_avoided_ = 0;
-  delta_apply_ns_ = 0;
-  delta_swap_wall_ms_ = 0.0;
+  producer_->Reset();
   watchdog_checks_.store(0, std::memory_order_relaxed);
 }
 

@@ -55,18 +55,23 @@
 // decision equality is exact: the ladder changes only timing, never
 // outcomes.
 //
+// Counters: each shard count is stored once, in a per-shard block of
+// relaxed atomics where every field has one writing thread (the shard's
+// owner, its ingest thread, or the watchdog). Stats(), Health() and
+// TelemetrySnapshot() are views of those blocks, readable from any thread
+// WHILE the server runs, telemetry attached or not.
+//
 // Self-healing (fault story, see runtime/fault.hpp and tests/
-// test_fault.cpp): every shard worker maintains heartbeat/progress
-// counters; a watchdog thread samples them and flags a shard whose
-// heartbeat stagnates while its ring holds work (stall detection is
-// self-clearing when the worker resumes). Health() reports the per-shard
-// picture lock-free WHILE the server runs — unlike Stats(), which needs
-// quiescence. A batch whose engine throws is retried on a bounded
-// backoff ladder and then shed (counted as ShedStats::inference), so a
-// transient inference fault degrades throughput, never liveness. SwapModel
-// is transactional: a publish failure anywhere rolls every shard back to
-// the serving model and surfaces SwapError — the server never runs mixed
-// versions and never loses its serving model to a failed push.
+// test_fault.cpp): every shard worker ticks a heartbeat; a watchdog thread
+// samples it and flags a shard whose heartbeat stagnates while its ring
+// holds work (stall detection is self-clearing when the worker resumes),
+// and Health() reports the per-shard picture. A batch whose engine throws
+// is retried on a bounded backoff ladder and then shed (counted as
+// ShedStats::inference), so a transient inference fault degrades
+// throughput, never liveness. SwapModel is transactional: a publish
+// failure anywhere rolls every shard back to the serving model and
+// surfaces SwapError — the server never runs mixed versions and never
+// loses its serving model to a failed push.
 //
 // Bit-exactness: with a large enough flow table (no evictions) the per-
 // packet decisions equal the offline Extract*Features +
@@ -299,13 +304,14 @@ struct ShedStats {
   }
 };
 
-/// One shard's liveness picture, sampled lock-free from the worker's
-/// progress counters (see ServerHealth).
+/// One shard's liveness picture, read lock-free from its counter block
+/// (see ServerHealth).
 struct ShardHealth {
   /// Worker loop iterations (ticks even when idle — a live-but-idle
   /// worker keeps beating; only a genuinely wedged one goes quiet).
   std::uint64_t heartbeat = 0;
-  /// Ring items the worker has handled (packets + control items).
+  /// Packets that reached the shard (StreamServerStats::shard_packets;
+  /// in-band swap items are not counted).
   std::uint64_t processed = 0;
   /// Approximate ring occupancy right now.
   std::size_t ring_depth = 0;
@@ -324,9 +330,9 @@ struct ShardHealth {
   std::uint64_t stall_events = 0;
 };
 
-/// Server liveness report. Unlike Stats() this is readable WHILE the
-/// server runs — every field loads from an atomic — so an operator (or
-/// the fault soak) can watch a live dataplane degrade and recover.
+/// Server liveness report, readable WHILE the server runs — every field
+/// loads from an atomic — so an operator (or the fault soak) can watch a
+/// live dataplane degrade and recover.
 struct ServerHealth {
   bool running = false;
   std::uint64_t watchdog_checks = 0;
@@ -351,8 +357,9 @@ struct StreamServerStats {
   /// equals the offered load.
   ShedStats shed;
   std::vector<ShedStats> shard_shed;
-  /// Per-shard processed-packet counts (same indexing as shard_shed), so
-  /// the offered == packets + shed identity can be checked shard by shard.
+  /// Per-shard packet counts (same indexing as shard_shed; Health()'s
+  /// `processed`), so the offered == packets + shed identity can be
+  /// checked shard by shard.
   std::vector<std::uint64_t> shard_packets;
   /// Aggregated over all shards, occupancy snapshot included
   /// (table.resident / table.slots sum each shard's live entries and
@@ -360,8 +367,8 @@ struct StreamServerStats {
   /// probe-length histogram sums per-shard histograms).
   FlowTableStats table;
   /// Batched-engine work counters, aggregated over all shards and across
-  /// model swaps (engines retired by SwapModel fold their counters into a
-  /// per-shard carry, so every inferred packet stays accounted).
+  /// model swaps (a shard publishes an engine's counters before retiring
+  /// it, so every inferred packet stays accounted).
   InferenceEngine::Stats engine;
   std::size_t flows_resident = 0;
   /// Register accounting: logical bits per flow and the SRAM footprint of
@@ -516,24 +523,26 @@ class StreamServer {
   /// (the shards are owned by their worker threads until Stop()).
   std::vector<StreamDecision> TakeDecisions();
 
-  /// Aggregated over shards. Throws std::logic_error while workers are
-  /// running — reading shard counters mid-run would race the workers.
+  /// Aggregated over shards, callable from any thread at any time. While
+  /// workers run each counter is exact and never goes backwards, but
+  /// different counters are read at slightly different moments; after
+  /// Stop() (or Flush() in single-threaded mode) they are exact together.
+  /// The flow-table, engine and resident-flow figures move at batch
+  /// flushes, the rest per packet.
   StreamServerStats Stats() const;
 
-  /// Liveness report, callable from any thread at any time (including
-  /// while workers run — every field is sampled from atomics). This is
-  /// the observer the watchdog feeds; Stats() remains the quiesced,
-  /// exact-counters view.
+  /// Liveness report from the same counters (heartbeat, packets, ring
+  /// depth and high watermark, stall verdicts); same contract as Stats().
+  /// This is the observer the watchdog feeds.
   ServerHealth Health() const;
 
-  /// Live observability snapshot: merged per-stage latency histograms
-  /// with p50/p90/p99/p999, per-shard counters/gauges (processed,
-  /// decisions, ring depth + high watermark, shed, table hit/miss) and
-  /// trace-ring occupancy. Same callable-anytime contract as Health() —
-  /// every source field is an atomic. With telemetry detached
-  /// (options().telemetry.Attached() == false) only the health-backed
-  /// fields are populated and `attached` is false. Serialize with
-  /// telemetry::WriteJson / WritePrometheus.
+  /// Live observability snapshot: the same counters per shard (packets,
+  /// decisions, ring depth + high watermark, shed, table hit/miss), plus,
+  /// with telemetry attached, merged per-stage latency histograms with
+  /// p50/p90/p99/p999 and trace-ring occupancy. Same contract as Stats();
+  /// with telemetry detached (options().telemetry.Attached() == false)
+  /// the counters are still reported and only the histograms and trace
+  /// stay empty. Serialize with telemetry::WriteJson / WritePrometheus.
   telemetry::TelemetrySnapshot TelemetrySnapshot() const;
 
   /// Merged, time-ordered flight-recorder dump (empty when telemetry is
@@ -544,16 +553,18 @@ class StreamServer {
   /// tools/trace_to_chrome.py converts for Perfetto.
   void WriteTrace(std::ostream& os) const;
 
-  /// Zeroes the per-shard packet/decision/batch/swap/shed counters, the
-  /// flow tables' stats and the engines' work counters — resident flow
-  /// state and the active model stay untouched, so callers can report
-  /// per-phase numbers (e.g. before vs after a swap). Throws
-  /// std::logic_error while workers are running.
+  /// Zeroes every counter Stats(), Health() and TelemetrySnapshot()
+  /// report, and the telemetry histograms and trace — resident flow state
+  /// and the active model stay untouched, so callers can report per-phase
+  /// numbers (e.g. before vs after a swap). Throws std::logic_error while
+  /// workers are running: the workers write the counters.
   void ResetStats();
 
  private:
   struct Shard;
   struct ShardItem;
+  struct ShardCounters;
+  struct ProducerCounters;
 
   Shard& ShardOf(std::uint64_t digest);
   /// `stamp` is the packet's telemetry enqueue stamp (Stamp32; 0 =
@@ -592,17 +603,9 @@ class StreamServer {
   /// references; in MT mode the handle reaches them in-band through the
   /// rings, so no cross-thread load happens on the hot path).
   std::shared_ptr<const ServingState> serving_;
-  /// Producer-side O(delta) accounting (written only by SwapModelDelta on
-  /// the producer thread, read by the quiesced Stats()): successful delta
-  /// publishes, bytes pushed, match-index delta counters accumulated from
-  /// each patched clone, and clone+patch wall time.
-  std::uint64_t delta_swaps_ = 0;
-  std::uint64_t delta_bytes_pushed_ = 0;
-  std::uint64_t deltas_applied_ = 0;
-  std::uint64_t leaf_words_patched_ = 0;
-  std::uint64_t reseals_avoided_ = 0;
-  std::uint64_t delta_apply_ns_ = 0;
-  double delta_swap_wall_ms_ = 0.0;
+  /// The producer's counter block (SwapModelDelta's accounting), read
+  /// live by Stats().
+  std::unique_ptr<ProducerCounters> producer_;
   /// Per-thread CPU assignment resolved from opts_.pin_policy at
   /// construction (-1 entries = unpinned).
   PinPlan pin_plan_;
@@ -614,7 +617,8 @@ class StreamServer {
   /// threads carry their own).
   telemetry::Sampler push_sampler_;
   /// Mirror of serving_->version readable from any thread (serving_
-  /// itself is producer-owned): TelemetrySnapshot's live version field.
+  /// itself is producer-owned): the live version Stats() and
+  /// TelemetrySnapshot() report.
   std::atomic<std::uint64_t> published_version_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> closed_{false};
@@ -625,6 +629,7 @@ class StreamServer {
   /// heartbeats, flags/clears stalls.
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};
+  /// Watchdog samples taken; the watchdog thread is its one writer.
   std::atomic<std::uint64_t> watchdog_checks_{0};
 };
 

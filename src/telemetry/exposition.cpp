@@ -174,9 +174,13 @@ void StatsReporter::EmitLine(const TelemetrySnapshot& cur) {
   if (has_last_ && cur.now_ns > last_.now_ns) {
     const double dt =
         static_cast<double>(cur.now_ns - last_.now_ns) * 1e-9;
-    pps = static_cast<double>(cur.packets - last_.packets) / dt;
-    shed_rate =
-        static_cast<double>(cur.shed_total - last_.shed_total) / dt;
+    // A count that fell between ticks was reset (ResetStats) and counted
+    // up again from zero: its whole current value is the increase.
+    const auto increase = [](std::uint64_t now, std::uint64_t before) {
+      return static_cast<double>(now >= before ? now - before : now);
+    };
+    pps = increase(cur.packets, last_.packets) / dt;
+    shed_rate = increase(cur.shed_total, last_.shed_total) / dt;
   }
   std::size_t depth = 0;
   std::size_t hwm = 0;

@@ -57,8 +57,9 @@ struct ShardTelemetrySnapshot {
 
 struct TelemetrySnapshot {
   /// False when the server was built with telemetry detached (the true
-  /// zero-overhead shape): only the health-backed fields below are
-  /// populated, stage histograms and decision counters stay zero.
+  /// zero-overhead shape). Every counter is still reported — counts live
+  /// in the server's counter plane, not in telemetry — and only the stage
+  /// histograms and trace_events_recorded stay zero.
   bool attached = false;
   std::uint32_t sample_every = 0;
   bool tracing = false;
@@ -68,8 +69,8 @@ struct TelemetrySnapshot {
   std::uint64_t active_version = 0;
   bool running = false;
 
-  std::uint64_t packets = 0;    // sum of shard processed counters
-  std::uint64_t decisions = 0;  // sum of shard decision counters (attached)
+  std::uint64_t packets = 0;    // == StreamServerStats::packets
+  std::uint64_t decisions = 0;  // == StreamServerStats::decisions
   std::uint64_t shed_total = 0;
   std::uint64_t stall_events = 0;
   std::size_t stalled_shards = 0;
@@ -81,8 +82,8 @@ struct TelemetrySnapshot {
   const StageSnapshot& stage(Stage s) const {
     return stages[static_cast<std::size_t>(s)];
   }
-  /// Flow-table hit fraction over the gauges' last publish (0 when the
-  /// tables have seen nothing).
+  /// Flow-table hit fraction over the tallies the shards last published
+  /// (at each batch flush; 0 when the tables have seen nothing).
   double HitRate() const;
 };
 

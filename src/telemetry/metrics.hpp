@@ -1,12 +1,12 @@
-// Lock-free metrics primitives for the serving path (ISSUE 10 tentpole
-// part 1). Everything here is built for ONE discipline: writers on the
-// hot path pay a relaxed atomic add (no locks, no allocation, no fences
+// The latency histogram of the serving path's telemetry. Writers on the
+// hot path pay relaxed atomic adds (no locks, no allocation, no fences
 // stronger than relaxed), and readers may snapshot from any thread WHILE
-// writers run — the same contract as ServerHealth, not the quiesced
-// Stats(). Values observed mid-run are individually exact but mutually
-// unordered (a snapshot is not a cross-counter consistent cut); that is
-// the right trade for live observability, and tests only assert exact
-// totals after quiescence.
+// writers run — the same live contract as the server's counter plane
+// (Stats(), Health(), TelemetrySnapshot()). Values observed mid-run are
+// individually exact but mutually unordered (a snapshot is not a
+// cross-counter consistent cut); tests assert exact totals only after
+// quiescence. Plain counts are not kept here: each lives once, in the
+// server's per-shard counter block.
 //
 // The histogram is log2-bucketed: Record(v) lands v in bucket
 // bit_width(v) (bucket 0 holds exactly {0}, bucket k>=1 holds
@@ -26,39 +26,6 @@
 #include <cstdint>
 
 namespace pegasus::telemetry {
-
-/// Monotonic event count. Cache-line padded so adjacent counters written
-/// by different threads never false-share.
-class alignas(64) Counter {
- public:
-  void Add(std::uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  void Increment() { Add(1); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value, plus a monotone-max variant for
-/// high-watermark tracking (single-writer: the owning thread updates,
-/// anyone reads).
-class alignas(64) Gauge {
- public:
-  void Set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  /// Raise-only update. Single-writer discipline (no CAS): the owning
-  /// thread is the only caller, observers just load.
-  void UpdateMax(std::uint64_t v) {
-    if (v > v_.load(std::memory_order_relaxed)) {
-      v_.store(v, std::memory_order_relaxed);
-    }
-  }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
 
 inline constexpr std::size_t kHistogramBuckets = 64;
 
@@ -133,14 +100,14 @@ struct HistogramSnapshot {
   }
 };
 
-/// The writer side: 64 relaxed-atomic buckets + count + sum. Record() is
-/// wait-free (one bit_width, three fetch_adds); Snapshot() is callable
-/// from any thread at any time.
+/// The writer side: 64 relaxed-atomic buckets + sum (the count is the
+/// buckets' total, stored nowhere else). Record() is wait-free (one
+/// bit_width, two fetch_adds); Snapshot() is callable from any thread at
+/// any time.
 class Log2Histogram {
  public:
   void Record(std::uint64_t v) {
     buckets_[HistogramBucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
   }
 
@@ -149,7 +116,7 @@ class Log2Histogram {
     for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
       s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
     }
-    // Derive count from the bucket reads so the snapshot is internally
+    // Count comes from the bucket reads, so the snapshot is internally
     // consistent even if a Record() lands between the loops; sum stays
     // approximate mid-run (exact once writers quiesce).
     s.count = 0;
@@ -158,19 +125,13 @@ class Log2Histogram {
     return s;
   }
 
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-
   void Reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
 };
 

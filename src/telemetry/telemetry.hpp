@@ -1,9 +1,10 @@
 // Stage-latency telemetry (ISSUE 10 tentpole part 2): what the metrics
 // core + flight recorder look like once wired to the serving path. One
 // ServerTelemetry owns a cache-line-padded ShardTelemetry per shard
-// (stage histograms + a private event ring + live gauges) plus a control
-// ring for producer/ingest/watchdog events, and a monotonic clock whose
-// epoch every timestamp shares.
+// (stage histograms + a private event ring) plus a control ring for
+// producer/ingest/watchdog events, and a monotonic clock whose epoch every
+// timestamp shares. Counts are not kept here: they live once, in the
+// server's per-shard counter blocks, attached or not.
 //
 // Sampling discipline (same as the fault hooks, runtime/fault.hpp): the
 // per-producer Sampler costs one predictable branch when sample_every is
@@ -58,10 +59,9 @@ struct TelemetryOptions {
   /// two; the control ring gets the same). 0 disables tracing.
   std::size_t trace_events = 0;
   /// Force the telemetry structures to exist even with sampling and
-  /// tracing off — live gauges/counters (ring-depth HWM gauge, decision
-  /// counter, table hit gauges) still update, and TelemetrySnapshot()
-  /// reports them. This is the "disabled" arm of the CI overhead gate:
-  /// telemetry attached, per-packet sampling off.
+  /// tracing off — the per-swap serving gap still lands in its histogram
+  /// and each flush still reads the clock once. This is the "disabled" arm
+  /// of the CI overhead gate: telemetry attached, per-packet sampling off.
   bool attach = false;
 
   bool Attached() const {
@@ -107,24 +107,15 @@ class StageHistograms {
   Log2Histogram h_[kNumStages];
 };
 
-/// Everything one shard writes. alignas keeps neighbouring shards'
-/// telemetry off each other's cache lines (the members are padded
-/// individually too — Counter/Gauge are alignas(64)).
+/// Everything one shard's telemetry records: its stage histograms and
+/// its event ring. alignas keeps neighbouring shards' blocks off each
+/// other's cache lines.
 struct alignas(64) ShardTelemetry {
   explicit ShardTelemetry(std::size_t trace_capacity)
       : ring(trace_capacity) {}
 
   StageHistograms stages;
   EventRing ring;
-  /// Decisions emitted (live; Stats().decisions is the quiesced truth).
-  Counter decisions;
-  /// Inference-shed packets (mirrors the worker-owned plain counter so
-  /// the live snapshot can see sheds happening).
-  Counter shed_inference;
-  /// FlowTable hit/miss counters, copied from the (worker-private) table
-  /// stats once per batch flush so the live snapshot can derive hit rate.
-  Gauge table_hits;
-  Gauge table_misses;
 };
 
 /// The server-wide aggregate: per-shard blocks + the multi-writer control
@@ -185,10 +176,6 @@ class ServerTelemetry {
     for (auto& s : shards_) {
       s->stages.Reset();
       s->ring.Reset();
-      s->decisions.Reset();
-      s->shed_inference.Reset();
-      s->table_hits.Reset();
-      s->table_misses.Reset();
     }
   }
 

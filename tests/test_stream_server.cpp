@@ -195,8 +195,9 @@ TEST(StreamServer, ShardStateIsInaccessibleWhileWorkersRun) {
   opts.multithreaded = true;
   rt::StreamServer server(lowered, opts);
   server.Start();
-  // The workers own the shards until Stop(); reads would race them.
-  EXPECT_THROW(server.Stats(), std::logic_error);
+  // The workers own the shards until Stop(); only the counters, which
+  // live in atomics, are readable while they run.
+  EXPECT_EQ(server.Stats().packets, 0u);
   EXPECT_THROW(server.TakeDecisions(), std::logic_error);
   EXPECT_THROW(server.Flush(), std::logic_error);
   server.Stop();
@@ -1291,4 +1292,152 @@ TEST(StreamServerIdleFlush, MidStreamIdleFlushesKeepMtEqualToStAcrossSwaps) {
   EXPECT_EQ(mt_stats.decisions, st_stats.decisions);
   EXPECT_GT(mt_stats.batches, st_stats.batches)
       << "MT workers must have flushed partial batches while idle";
+}
+
+// ---------------------------------------------------------------------------
+// One counter plane: each shard count is stored once, and Stats(), Health()
+// and TelemetrySnapshot() all read it live.
+// ---------------------------------------------------------------------------
+
+TEST(StreamServerCounters, SnapshotPacketsEqualStatsPacketsAcrossSwaps) {
+  // In-band swap items ride the MT rings but are not packets: all three
+  // views count the same packets as the ST run, and ResetStats() clears
+  // all three.
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 57));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto fx = BuildDeltaFixture(offline.x, offline.size());
+  const auto trace = tr::MergeTrace(ds.flows);
+  const std::size_t delta_at = trace.size() / 3;
+  const std::size_t full_at = 2 * trace.size() / 3;
+
+  auto serve = [&](bool mt) {
+    rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, mt));
+    if (mt) server.Start();
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (i == delta_at) server.SwapModelDelta(fx.patches, 2);
+      if (i == full_at) server.SwapModel(Alias(*fx.v1.lowered), 3);
+      server.Push(trace[i]);
+    }
+    if (mt) {
+      server.Stop();
+    } else {
+      server.Flush();
+    }
+    const auto stats = server.Stats();
+    const auto snap = server.TelemetrySnapshot();
+    const auto health = server.Health();
+    EXPECT_EQ(snap.packets, stats.packets) << "mt=" << mt;
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(snap.shards[s].processed, stats.shard_packets[s]);
+      EXPECT_EQ(health.shards[s].processed, stats.shard_packets[s]);
+    }
+    EXPECT_EQ(stats.swaps, 4u) << "two swaps applied on each of 2 shards";
+
+    server.ResetStats();
+    EXPECT_EQ(server.Stats().packets, 0u) << "mt=" << mt;
+    EXPECT_EQ(server.TelemetrySnapshot().packets, 0u) << "mt=" << mt;
+    for (const auto& sh : server.Health().shards) {
+      EXPECT_EQ(sh.processed, 0u) << "mt=" << mt;
+    }
+    return stats.packets;
+  };
+  const std::uint64_t st = serve(false);
+  EXPECT_EQ(st, trace.size());
+  EXPECT_EQ(serve(true), st);
+}
+
+TEST(StreamServerCounters, LiveReadsNeverDecreaseAndAreExactAfterStop) {
+  // The live contract (run under TSan): one thread reads Stats(), Health()
+  // and TelemetrySnapshot() in a loop while a 2-shard MT server serves a
+  // trace across a delta swap. No counter it reads may ever go backwards;
+  // after Stop() the accounting identities hold exactly.
+  const auto ds = tr::Generate(tr::PeerRushSpec(8, 58));
+  const auto offline = tr::ExtractSeqFeatures(ds.flows, EveryPacket());
+  const auto fx = BuildDeltaFixture(offline.x, offline.size());
+  const auto trace = tr::MergeTrace(ds.flows);
+  const std::size_t delta_at = trace.size() / 2;
+  rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, true));
+
+  // Every counter the three views expose, in a fixed order.
+  const auto read_all = [&server] {
+    const auto st = server.Stats();
+    const auto health = server.Health();
+    const auto snap = server.TelemetrySnapshot();
+    std::vector<std::uint64_t> v = {
+        st.packets, st.decisions, st.warmup, st.batches, st.shed.total(),
+        st.table.hits, st.table.misses, st.table.inserts, st.table.evictions,
+        st.table.probes, st.engine.packets, st.engine.chunks,
+        st.engine.table_hits, st.swaps, st.delta_swaps,
+        st.delta_bytes_pushed, st.deltas_applied, st.leaf_words_patched,
+        st.reseals_avoided, st.delta_apply_ns, st.active_version,
+        st.inference_faults, st.batches_dropped, st.watchdog_checks,
+        st.stall_events, health.watchdog_checks, health.stall_events,
+        snap.packets, snap.decisions, snap.shed_total, snap.stall_events,
+        snap.active_version};
+    for (const auto p : st.shard_packets) v.push_back(p);
+    for (const auto& sh : health.shards) {
+      v.insert(v.end(), {sh.heartbeat, sh.processed, sh.ring_depth_hwm,
+                         sh.stall_events});
+    }
+    for (const auto& sh : snap.shards) {
+      v.insert(v.end(), {sh.heartbeat, sh.processed, sh.decisions,
+                         sh.ring_depth_hwm, sh.shed_ring_full,
+                         sh.shed_misrouted, sh.shed_inference, sh.table_hits,
+                         sh.table_misses});
+    }
+    return v;
+  };
+
+  std::atomic<bool> stop{false};
+  std::size_t reads = 0;
+  std::thread observer([&] {
+    std::vector<std::uint64_t> last = read_all();
+    while (!stop.load(std::memory_order_acquire)) {
+      const auto now = read_all();
+      ASSERT_EQ(now.size(), last.size());
+      for (std::size_t k = 0; k < now.size(); ++k) {
+        EXPECT_GE(now[k], last[k]) << "counter #" << k << " went backwards";
+      }
+      last = now;
+      ++reads;
+    }
+  });
+  server.Start();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (i == delta_at) server.SwapModelDelta(fx.patches, 2);
+    server.Push(trace[i]);
+    // Pauses let the rings run dry, so reads land between flushes too.
+    if ((i + 1) % 200 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  server.Stop();
+  stop.store(true, std::memory_order_release);
+  observer.join();
+  EXPECT_GT(reads, 0u);
+
+  const auto stats = server.Stats();
+  const auto snap = server.TelemetrySnapshot();
+  const auto health = server.Health();
+  const auto decisions = server.TakeDecisions();
+  EXPECT_EQ(trace.size(),
+            stats.packets + stats.shed.ring_full + stats.shed.misrouted);
+  EXPECT_EQ(stats.packets,
+            stats.decisions + stats.warmup + stats.shed.inference);
+  EXPECT_EQ(stats.decisions, decisions.size());
+  EXPECT_EQ(stats.decisions, snap.decisions);
+  EXPECT_EQ(stats.packets, snap.packets);
+  EXPECT_EQ(stats.engine.packets, stats.decisions);
+  EXPECT_EQ(stats.table.hits + stats.table.misses, stats.packets);
+  std::uint64_t shard_sum = 0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    shard_sum += stats.shard_packets[s];
+    EXPECT_EQ(health.shards[s].processed, stats.shard_packets[s]);
+    EXPECT_EQ(snap.shards[s].processed, stats.shard_packets[s]);
+  }
+  EXPECT_EQ(shard_sum, stats.packets);
+  EXPECT_EQ(stats.swaps, 2u);
+  EXPECT_EQ(stats.delta_swaps, 1u);
+  EXPECT_EQ(stats.active_version, 2u);
+  EXPECT_EQ(snap.active_version, 2u);
 }

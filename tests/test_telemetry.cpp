@@ -1,7 +1,7 @@
 // Telemetry acceptance (ISSUE 10):
 //
 //  * Metrics core — log2 histogram bucket boundaries, merge and quantile
-//    properties; counter/gauge basics; sampler cadence.
+//    properties; sampler cadence.
 //  * Flight recorder — ring retention/overflow semantics, multi-writer
 //    safety, JSON dump shape.
 //  * Serving integration — sampled stage histograms populate in ST and MT
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -156,28 +157,6 @@ TEST(Log2Histogram, MergeEqualsUnion) {
     EXPECT_EQ(sa.buckets[i], su.buckets[i]) << i;
   }
   EXPECT_EQ(sa.Quantile(0.99), su.Quantile(0.99));
-}
-
-TEST(Metrics, CounterAndGauge) {
-  tel::Counter c;
-  c.Increment();
-  c.Add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-
-  tel::Gauge g;
-  g.Set(7);
-  EXPECT_EQ(g.value(), 7u);
-  g.UpdateMax(3);
-  EXPECT_EQ(g.value(), 7u);  // max never lowers
-  g.UpdateMax(9);
-  EXPECT_EQ(g.value(), 9u);
-
-  // Cache-line padding keeps adjacent counters from false sharing.
-  static_assert(sizeof(tel::Counter) == 64);
-  static_assert(sizeof(tel::Gauge) == 64);
-  static_assert(alignof(tel::Counter) == 64);
 }
 
 TEST(Metrics, SamplerCadence) {
@@ -490,8 +469,10 @@ TEST(ServerTelemetry, DetachedServerReportsHealthOnly) {
   const auto decisions = server.Serve(w.trace);
   const auto snap = server.TelemetrySnapshot();
   EXPECT_FALSE(snap.attached);
-  EXPECT_EQ(snap.packets, w.trace.size());  // health-backed counter works
-  EXPECT_EQ(snap.decisions, 0u);            // telemetry counters detached
+  // Counters live in the server's counter plane, not in telemetry: a
+  // detached server still reports them.
+  EXPECT_EQ(snap.packets, w.trace.size());
+  EXPECT_EQ(snap.decisions, decisions.size());
   EXPECT_EQ(snap.stage(tel::Stage::kEndToEnd).count, 0u);
   EXPECT_TRUE(server.DumpTrace().empty());
   for (const auto& d : decisions) EXPECT_EQ(d.latency_ns, 0u);
@@ -737,6 +718,44 @@ TEST(Exposition, StatsReporterEmitsLines) {
   const std::string out = os.str();
   EXPECT_NE(out.find("[telemetry] pps="), std::string::npos);
   EXPECT_NE(out.find("e2e_p50="), std::string::npos);
+}
+
+TEST(Exposition, StatsReporterTreatsAFallingCountAsARestart) {
+  // ResetStats() zeroes packets and shed_total between two ticks; the
+  // reporter must read the fall as a restart from zero, not as an
+  // unsigned wrap to ~1.8e19.
+  std::atomic<int> calls{0};
+  std::ostringstream os;
+  tel::StatsReporter reporter(
+      [&calls] {
+        const int k = calls.fetch_add(1, std::memory_order_relaxed) + 1;
+        tel::TelemetrySnapshot snap;
+        snap.attached = true;
+        snap.now_ns = static_cast<std::uint64_t>(k) * 1000000ull;  // 1 ms
+        // 1000, 10, 1000, 10, ...: every second tick the counts fall.
+        snap.packets = k % 2 == 1 ? 1000 : 10;
+        snap.shed_total = snap.packets;
+        return snap;
+      },
+      os, /*interval_ms=*/5);
+  reporter.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  reporter.Stop();
+  ASSERT_GE(reporter.ticks(), 2u);  // the second tick is a fall
+
+  // No increase above 1000 in 1 ms: every rate is at most 1e6 per second.
+  const std::string out = os.str();
+  std::size_t rates = 0;
+  for (const char* key : {"pps=", "shed/s="}) {
+    for (std::size_t at = out.find(key); at != std::string::npos;
+         at = out.find(key, at + 1)) {
+      const double rate = std::strtod(out.c_str() + at + std::strlen(key),
+                                      nullptr);
+      EXPECT_LE(rate, 1e6) << key << " in:\n" << out;
+      ++rates;
+    }
+  }
+  EXPECT_EQ(rates, 2 * reporter.ticks());
 }
 
 // ---------------------------------------------------------------------------
