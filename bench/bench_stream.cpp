@@ -82,7 +82,8 @@ struct RunRow {
   double dwell_p99_ns = 0.0;
 };
 
-RunRow RunOne(const std::string& name, const rt::LoweredModel& lowered,
+RunRow RunOne(const std::string& name,
+              std::shared_ptr<const rt::LoweredModel> lowered,
               rt::FeatureKind kind,
               const std::vector<tr::TracePacket>& trace,
               std::size_t num_classes, std::size_t shards, bool mt) {
@@ -92,7 +93,7 @@ RunRow RunOne(const std::string& name, const rt::LoweredModel& lowered,
   opts.feature = kind;
   opts.multithreaded = mt;
   opts.telemetry.sample_every = kBenchSampleEvery;
-  rt::StreamServer server(lowered, opts);
+  rt::StreamServer server(std::move(lowered), opts);
   const auto run = ev::ServeTrace(server, trace);
 
   RunRow row;
@@ -330,13 +331,13 @@ int main(int argc, char** argv) {
   runtime::LoweringOptions mlp_lopts;
   mlp_lopts.stateful_bits_per_flow =
       runtime::OnlineFlowStateSpec(runtime::FeatureKind::kStat).BitsPerFlow();
-  // Shared so the hot-swap section below can serve the same v1 artifact.
   auto mlp_lowered = std::make_shared<const runtime::LoweredModel>(
       compiler::PlaceOnSwitch(mlp->Compiled(), mlp_lopts));
   runtime::LoweringOptions cnn_lopts;
   cnn_lopts.stateful_bits_per_flow =
       runtime::OnlineFlowStateSpec(runtime::FeatureKind::kSeq).BitsPerFlow();
-  auto cnn_lowered = compiler::PlaceOnSwitch(cnn->Compiled(), cnn_lopts);
+  auto cnn_lowered = std::make_shared<const runtime::LoweredModel>(
+      compiler::PlaceOnSwitch(cnn->Compiled(), cnn_lopts));
 
   // ---- one merged trace over every flow ----------------------------------
   const auto trace = traffic::MergeTrace(prep.dataset.flows);
@@ -345,12 +346,12 @@ int main(int argc, char** argv) {
 
   struct ModelUnderTest {
     const char* name;
-    const runtime::LoweredModel* lowered;
+    std::shared_ptr<const runtime::LoweredModel> lowered;
     runtime::FeatureKind kind;
   };
   const ModelUnderTest models[] = {
-      {"MLP-B", mlp_lowered.get(), runtime::FeatureKind::kStat},
-      {"CNN-M", &cnn_lowered, runtime::FeatureKind::kSeq},
+      {"MLP-B", mlp_lowered, runtime::FeatureKind::kStat},
+      {"CNN-M", cnn_lowered, runtime::FeatureKind::kSeq},
   };
 
   std::vector<RunRow> rows;
@@ -360,7 +361,7 @@ int main(int argc, char** argv) {
   for (const auto& m : models) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       for (const bool mt : {false, true}) {
-        const auto row = RunOne(m.name, *m.lowered, m.kind, trace,
+        const auto row = RunOne(m.name, m.lowered, m.kind, trace,
                                 prep.num_classes, shards, mt);
         std::printf(
             "%-7s %-5s %7zu %8zu %10.1f %12.0f %10.0f %9.3f %9.2f %9.2f\n",

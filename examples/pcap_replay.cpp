@@ -13,6 +13,7 @@
 //    with a telemetry::StatsReporter printing live serving stats while
 //    the paced replay runs.
 #include <cstdio>
+#include <memory>
 #include <iostream>
 
 #include "compiler/compiler.hpp"
@@ -52,7 +53,8 @@ int main() {
   runtime::LoweringOptions lopts;
   lopts.stateful_bits_per_flow =
       runtime::OnlineFlowStateSpec(runtime::FeatureKind::kSeq).BitsPerFlow();
-  auto lowered = compiler::PlaceOnSwitch(model->Compiled(), lopts);
+  auto lowered = std::make_shared<const runtime::LoweredModel>(
+      compiler::PlaceOnSwitch(model->Compiled(), lopts));
 
   // ---- 3. timed replay straight from the capture -------------------------
   io::PcapPacketSource source(path, iopts.labeler);

@@ -92,12 +92,16 @@ std::vector<std::int32_t> PredictClassesLowered(
 
 namespace {
 
-/// Shared tail of the ServeTrace variants: stats snapshot, wall clock and
-/// throughput over the packets this run actually pushed.
-void FinishRun(StreamRun& run, runtime::StreamServer& server,
-               std::uint64_t packets_before,
-               std::chrono::steady_clock::time_point t0,
-               std::chrono::steady_clock::time_point t1) {
+/// The one eval driver: times `serve` (which runs the server and returns
+/// its decisions), then snapshots stats and telemetry and reports
+/// throughput over the packets this run pushed.
+template <typename ServeFn>
+StreamRun TimedRun(runtime::StreamServer& server, ServeFn&& serve) {
+  StreamRun run;
+  const std::uint64_t packets_before = server.Stats().packets;
+  const auto t0 = std::chrono::steady_clock::now();
+  run.decisions = serve();
+  const auto t1 = std::chrono::steady_clock::now();
   run.stats = server.Stats();
   run.telemetry = server.TelemetrySnapshot();
   run.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -106,6 +110,30 @@ void FinishRun(StreamRun& run, runtime::StreamServer& server,
       run.wall_ms > 0.0
           ? static_cast<double>(pushed) / (run.wall_ms / 1000.0)
           : 0.0;
+  return run;
+}
+
+/// The swap runs' body: pushes `trace`, calling `update` after the first
+/// `swap_at` packets, with Start/Stop around the loop in multi-threaded
+/// mode and Flush after it otherwise.
+template <typename UpdateFn>
+StreamRun ServeWithUpdate(runtime::StreamServer& server,
+                          std::span<const traffic::TracePacket> trace,
+                          std::size_t swap_at, UpdateFn&& update) {
+  swap_at = std::min(swap_at, trace.size());
+  return TimedRun(server, [&] {
+    const bool mt = server.options().multithreaded;
+    if (mt) server.Start();
+    for (std::size_t i = 0; i < swap_at; ++i) server.Push(trace[i]);
+    update();
+    for (std::size_t i = swap_at; i < trace.size(); ++i) server.Push(trace[i]);
+    if (mt) {
+      server.Stop();
+    } else {
+      server.Flush();
+    }
+    return server.TakeDecisions();
+  });
 }
 
 }  // namespace
@@ -127,24 +155,12 @@ StreamRun ServeTrace(runtime::StreamServer& server,
                      std::span<const traffic::TracePacket> trace) {
   // Serve(span) pre-reserves per-shard decision space, so go through it
   // rather than a bare SpanPacketSource.
-  StreamRun run;
-  const std::uint64_t packets_before = server.Stats().packets;
-  const auto t0 = std::chrono::steady_clock::now();
-  run.decisions = server.Serve(trace);
-  const auto t1 = std::chrono::steady_clock::now();
-  FinishRun(run, server, packets_before, t0, t1);
-  return run;
+  return TimedRun(server, [&] { return server.Serve(trace); });
 }
 
 StreamRun ServeTrace(runtime::StreamServer& server,
                      runtime::PacketSource& source) {
-  StreamRun run;
-  const std::uint64_t packets_before = server.Stats().packets;
-  const auto t0 = std::chrono::steady_clock::now();
-  run.decisions = server.Serve(source);
-  const auto t1 = std::chrono::steady_clock::now();
-  FinishRun(run, server, packets_before, t0, t1);
-  return run;
+  return TimedRun(server, [&] { return server.Serve(source); });
 }
 
 StreamRun ServeChurn(runtime::StreamServer& server,
@@ -161,13 +177,7 @@ StreamRun ServeTracePartitioned(
       [&server](std::uint64_t digest) {
         return server.IngestPartitionOf(digest);
       });
-  StreamRun run;
-  const std::uint64_t packets_before = server.Stats().packets;
-  const auto t0 = std::chrono::steady_clock::now();
-  run.decisions = server.Serve(source);
-  const auto t1 = std::chrono::steady_clock::now();
-  FinishRun(run, server, packets_before, t0, t1);
-  return run;
+  return TimedRun(server, [&] { return server.Serve(source); });
 }
 
 StreamRun ServeTraceWithSwap(
@@ -175,48 +185,18 @@ StreamRun ServeTraceWithSwap(
     std::span<const traffic::TracePacket> trace, std::size_t swap_at,
     std::shared_ptr<const runtime::LoweredModel> model,
     std::uint64_t version) {
-  swap_at = std::min(swap_at, trace.size());
-  StreamRun run;
-  const bool mt = server.options().multithreaded;
-  const std::uint64_t packets_before = server.Stats().packets;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (mt) server.Start();
-  for (std::size_t i = 0; i < swap_at; ++i) server.Push(trace[i]);
-  server.SwapModel(std::move(model), version);
-  for (std::size_t i = swap_at; i < trace.size(); ++i) server.Push(trace[i]);
-  if (mt) {
-    server.Stop();
-  } else {
-    server.Flush();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  run.decisions = server.TakeDecisions();
-  FinishRun(run, server, packets_before, t0, t1);
-  return run;
+  return ServeWithUpdate(server, trace, swap_at, [&] {
+    server.SwapModel(std::move(model), version);
+  });
 }
 
 StreamRun ServeTraceWithDeltaSwap(
     runtime::StreamServer& server,
     std::span<const traffic::TracePacket> trace, std::size_t swap_at,
     std::span<const dataplane::TablePatch> patches, std::uint64_t version) {
-  swap_at = std::min(swap_at, trace.size());
-  StreamRun run;
-  const bool mt = server.options().multithreaded;
-  const std::uint64_t packets_before = server.Stats().packets;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (mt) server.Start();
-  for (std::size_t i = 0; i < swap_at; ++i) server.Push(trace[i]);
-  server.SwapModelDelta(patches, version);
-  for (std::size_t i = swap_at; i < trace.size(); ++i) server.Push(trace[i]);
-  if (mt) {
-    server.Stop();
-  } else {
-    server.Flush();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  run.decisions = server.TakeDecisions();
-  FinishRun(run, server, packets_before, t0, t1);
-  return run;
+  return ServeWithUpdate(server, trace, swap_at, [&] {
+    server.SwapModelDelta(patches, version);
+  });
 }
 
 ClassificationReport EvaluateDecisions(

@@ -372,11 +372,6 @@ StreamServer::StreamServer(std::shared_ptr<const LoweredModel> model,
   }
 }
 
-StreamServer::StreamServer(const LoweredModel& model, StreamServerOptions opts)
-    : StreamServer(
-          std::shared_ptr<const LoweredModel>(std::shared_ptr<void>{}, &model),
-          opts) {}
-
 StreamServer::~StreamServer() {
   if (running_) Stop();
 }
@@ -400,30 +395,16 @@ void StreamServer::Push(const traffic::TracePacket& packet) {
   item.packet = packet;
   item.packet.tele_stamp = stamp;
   item.payload = *packet.packet;
-  Escalator esc(opts_.escalation);
-  // kRingPushStall makes the ring look full for a round, driving the
-  // ladder without needing a genuinely backlogged worker.
-  while (FaultFires(FaultSite::kRingPushStall) ||
-         !shard.queue->TryPush(std::move(item))) {
-    if (opts_.shed && esc.Exhausted()) {
-      Bump(shard.counters.shed_ring_full);
-      // Per-packet sheds are a high-rate event under sustained overload:
-      // trace only the sampled packets (same 1-in-N as packet spans), or
-      // a drop storm evicts every lifecycle event from the fixed ring.
-      // The batch-level shed records (burst remainder, inference) stay
-      // unconditional. The shed *counter* above counts every drop.
-      if (shard.tele != nullptr && stamp != 0) {
-        shard.tele->ring.Record(telemetry::TraceEventKind::kShed,
-                                shard.index, tele_->NowNs(), 0, 1,
-                                /*reason=*/0);
-      }
-      return;
-    }
-    esc.Wait();  // shard backlogged; escalate backpressure
-  }
+  // Per-packet sheds are a high-rate event under sustained overload: trace
+  // only the sampled packets (same 1-in-N as packet spans), or a drop storm
+  // evicts every lifecycle event from the fixed ring. The shed *counter*
+  // counts every drop either way.
+  PushStage(shard, std::span<ShardItem>(&item, 1),
+            /*trace_shed=*/stamp != 0);
 }
 
-void StreamServer::PushStage(Shard& shard, std::span<ShardItem> items) {
+void StreamServer::PushStage(Shard& shard, std::span<ShardItem> items,
+                             bool trace_shed) {
   std::span<ShardItem> rest = items;
   Escalator esc(opts_.escalation);
   while (!rest.empty()) {
@@ -437,15 +418,15 @@ void StreamServer::PushStage(Shard& shard, std::span<ShardItem> items) {
       continue;
     }
     if (opts_.shed && esc.Exhausted()) {
-      // Near-source signal: the remainder of this burst targets a ring
+      // Near-source signal: the remainder of these items targets a ring
       // that stayed full through the whole escalation ladder — shed it
       // here, deterministically, instead of stalling every other shard
-      // this ingest thread feeds.
+      // this producer feeds.
       Bump(shard.counters.shed_ring_full, rest.size());
-      if (shard.tele != nullptr) {
+      if (trace_shed && shard.tele != nullptr) {
         // The shard's event ring is multi-writer safe (claim cursor +
-        // per-slot seq), so the ingest thread can drop the shed marker
-        // on the shard's own track.
+        // per-slot seq), so the producer can drop the shed marker on the
+        // shard's own track.
         shard.tele->ring.Record(telemetry::TraceEventKind::kShed,
                                 shard.index, tele_->NowNs(), 0, rest.size(),
                                 /*reason=*/0);
@@ -456,8 +437,9 @@ void StreamServer::PushStage(Shard& shard, std::span<ShardItem> items) {
   }
 }
 
-void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
-                              std::size_t fanout) {
+void StreamServer::IngestLoop(PartitionedPacketSource& source,
+                              std::size_t t) {
+  const std::size_t fanout = source.partitions();
   const std::size_t burst = opts_.burst;
   struct Stage {
     std::vector<ShardItem> items;
@@ -478,8 +460,9 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
     for (std::size_t s = t; s < shards_.size(); s += fanout) {
       Stage& stage = stages[s];
       if (stage.n != 0) {
-        PushStage(*shards_[s], std::span<ShardItem>(stage.items.data(),
-                                                    stage.n));
+        PushStage(*shards_[s],
+                  std::span<ShardItem>(stage.items.data(), stage.n),
+                  /*trace_shed=*/true);
         stage.n = 0;
       }
     }
@@ -528,8 +511,8 @@ void StreamServer::IngestLoop(PartitionedPacketSource& source, std::size_t t,
     item.swap = nullptr;  // staged slots are reused after a flush
     ++staged;
     if (++stage.n == burst) {
-      PushStage(*shards_[s], std::span<ShardItem>(stage.items.data(),
-                                                  stage.n));
+      PushStage(*shards_[s], std::span<ShardItem>(stage.items.data(), burst),
+                /*trace_shed=*/true);
       stage.n = 0;
       staged -= burst;
     }
@@ -978,7 +961,16 @@ telemetry::TelemetrySnapshot StreamServer::TelemetrySnapshot() const {
   snap.sample_every = opts_.telemetry.sample_every;
   snap.tracing = tele_ != nullptr && tele_->tracing();
   snap.running = running_.load(std::memory_order_acquire);
-  snap.now_ns = tele_ != nullptr ? tele_->NowNs() : 0;
+  // Attached, the telemetry clock (trace timestamps share its base);
+  // detached, the steady clock itself. Either way two snapshots diff to
+  // the elapsed time a rate needs.
+  snap.now_ns =
+      tele_ != nullptr
+          ? tele_->NowNs()
+          : static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now().time_since_epoch())
+                    .count());
   snap.active_version = published_version_.load(std::memory_order_relaxed);
   std::array<telemetry::HistogramSnapshot, telemetry::kNumStages> merged{};
   snap.shards.reserve(shards_.size());
@@ -1152,8 +1144,8 @@ std::vector<StreamDecision> StreamServer::Serve(
 
 namespace {
 
-/// Adapts a plain PacketSource to the ingest loop: one partition, pulled by
-/// the calling thread, which owns every shard (fanout 1).
+/// Adapts a plain PacketSource to Serve(PartitionedPacketSource&): one
+/// partition, pulled by the calling thread, which owns every shard.
 class SinglePartitionSource final : public PartitionedPacketSource {
  public:
   explicit SinglePartitionSource(PacketSource& inner) : inner_(inner) {}
@@ -1170,23 +1162,8 @@ class SinglePartitionSource final : public PartitionedPacketSource {
 }  // namespace
 
 std::vector<StreamDecision> StreamServer::Serve(PacketSource& source) {
-  if (opts_.multithreaded) {
-    // The calling thread is the single ingest thread; it stages per-shard
-    // bursts exactly like the multi-ingest path with fanout 1. Ingest
-    // pinning is scoped — the caller's affinity mask is restored on exit.
-    SinglePartitionSource adapter(source);
-    Start();
-    {
-      ScopedThreadPin pin(pin_plan_.ingest_cpu[0]);
-      IngestLoop(adapter, 0, 1);
-    }
-    Stop();
-  } else {
-    traffic::TracePacket packet;
-    while (source.Next(packet)) Push(packet);
-    Flush();
-  }
-  return TakeDecisions();
+  SinglePartitionSource adapter(source);
+  return Serve(adapter);
 }
 
 std::vector<StreamDecision> StreamServer::Serve(
@@ -1206,7 +1183,9 @@ std::vector<StreamDecision> StreamServer::Serve(
     Flush();
     return TakeDecisions();
   }
-  if (parts != opts_.num_ingest) {
+  // A one-partition source is pulled by the calling thread alone, which
+  // then owns every shard whatever num_ingest says.
+  if (parts != 1 && parts != opts_.num_ingest) {
     throw std::invalid_argument(
         "StreamServer::Serve: source partitions (" + std::to_string(parts) +
         ") != num_ingest (" + std::to_string(opts_.num_ingest) + ")");
@@ -1216,15 +1195,15 @@ std::vector<StreamDecision> StreamServer::Serve(
   ingest.reserve(parts - 1);
   for (std::size_t t = 1; t < parts; ++t) {
     const int cpu = pin_plan_.ingest_cpu[t];
-    ingest.emplace_back([this, &source, t, parts, cpu] {
+    ingest.emplace_back([this, &source, t, cpu] {
       PinThisThread(cpu);
-      IngestLoop(source, t, parts);
+      IngestLoop(source, t);
     });
   }
   {
     // Partition 0 rides the calling thread; pin it only for the loop.
     ScopedThreadPin pin(pin_plan_.ingest_cpu[0]);
-    IngestLoop(source, 0, parts);
+    IngestLoop(source, 0);
   }
   for (auto& th : ingest) th.join();
   Stop();

@@ -21,7 +21,9 @@
 //  * single-threaded (default): Push() processes synchronously in trace
 //    order — fully deterministic, the mode the parity tests pin down;
 //  * multi-threaded: Start() spawns one worker per shard; packets reach a
-//    shard through its SPSC ring and the worker drains them in bursts
+//    shard through its SPSC ring (every producer enqueues through one
+//    routine, PushStage: Push hands it a lone packet, ingest threads a
+//    staged burst) and the worker drains them in bursts
 //    (SpscQueue::TryPopBurst — one cursor publish per burst, with a
 //    FlowTable::Prefetch pass over the burst's keys before processing).
 //    Ingest does only digest routing; ALL per-packet work (flow lookup,
@@ -43,6 +45,10 @@
 //    partition function MUST agree with IngestPartitionOf: a packet whose
 //    shard belongs to another ingest thread cannot be enqueued (the rings
 //    are single-producer) and is shed + counted (ShedStats::misrouted).
+//
+// Serve(PartitionedPacketSource&) is the one serve driver; Serve(span) and
+// Serve(PacketSource&) adapt their packets to a one-partition source,
+// which the calling thread drains alone, owning every shard.
 //
 // Overload story (SFC-style near-source signaling): when a shard's ring
 // stays full, the ingest side walks a bounded escalation ladder — busy
@@ -91,8 +97,8 @@
 // point in every per-shard (and therefore per-flow) packet sequence is
 // identical in both modes, and MT == ST decision equality holds across the
 // swap. (SwapModel is a producer-side call: it must come from the thread
-// calling Push, and must not race a running Serve(PartitionedPacketSource&)
-// — the ingest threads own the rings' producer cursors for that span.)
+// calling Push, and must not race a running Serve — the ingest threads
+// own the rings' producer cursors for that span.)
 // Per-flow state in the FlowTables survives (feature extraction is
 // model-independent): a flow whose window was full keeps producing a
 // decision per packet straight through the swap, with no re-warm-up. The
@@ -409,18 +415,13 @@ struct StreamServerStats {
 
 class StreamServer {
  public:
-  /// Serves `model` as version `version`. The model must consume
-  /// FeatureDim(opts.feature) inputs; throws std::invalid_argument
-  /// otherwise. Shared ownership keeps the artifact alive across swaps
-  /// even if the registry drops it.
+  /// Serves `model` as version `version`. The model must be non-null and
+  /// consume FeatureDim(opts.feature) inputs; throws std::invalid_argument
+  /// otherwise. The server shares ownership, so the artifact stays alive
+  /// for as long as any shard serves it, across swaps too, even if the
+  /// caller or the registry drops it.
   StreamServer(std::shared_ptr<const LoweredModel> model,
                StreamServerOptions opts = {}, std::uint64_t version = 1);
-
-  /// Borrowing convenience (pre-lifecycle API): `model` must outlive the
-  /// server AND any model published later via SwapModel must not be needed
-  /// past the server either — prefer the shared_ptr overload.
-  explicit StreamServer(const LoweredModel& model,
-                        StreamServerOptions opts = {});
   ~StreamServer();
 
   StreamServer(const StreamServer&) = delete;
@@ -448,10 +449,12 @@ class StreamServer {
   }
 
   /// Routes one packet to its shard. Single-threaded mode processes it
-  /// synchronously; multi-threaded mode (after Start()) enqueues it,
-  /// spinning if the shard's ring is full (or shedding, when enabled).
+  /// synchronously; multi-threaded mode (after Start()) enqueues it as a
+  /// one-packet burst through the same routine ingest threads use, walking
+  /// the escalation ladder while the shard's ring is full (then shedding,
+  /// when enabled; a lone packet's shed is traced only if it was sampled).
   /// The caller is the single producer — do not mix with a concurrent
-  /// Serve(PartitionedPacketSource&).
+  /// Serve.
   void Push(const traffic::TracePacket& packet);
 
   /// Hitless hot swap: every packet pushed before this call is decided by
@@ -496,26 +499,31 @@ class StreamServer {
   void Start();
   void Stop();
 
-  /// Replays a whole trace: Start + Push each packet + Stop (or Push +
-  /// Flush in single-threaded mode) and returns the decisions. Per-shard
-  /// decision sinks are reserved from the trace's observed shard shares.
+  /// Replays a whole trace and returns the decisions. Reserves each
+  /// shard's decision sink from the trace's observed shard shares, then
+  /// serves it as Serve(PacketSource&) does.
   std::vector<StreamDecision> Serve(
       std::span<const traffic::TracePacket> trace);
 
-  /// Pull-based ingestion: drains `source` (a merged trace, a pcap capture
-  /// decoded on the fly, or a pacing io::TraceReplayer) through the shard
-  /// rings in bursts. Sources may reuse their packet buffer between Next
-  /// calls — the multi-threaded rings carry the payload by value.
+  /// Pull-based ingestion of `source` (a merged trace, a pcap capture
+  /// decoded on the fly, or a pacing io::TraceReplayer): serves it as a
+  /// one-partition Serve(PartitionedPacketSource&), so the calling thread
+  /// is the one ingest thread at any num_ingest. Sources may reuse their
+  /// packet buffer between Next calls — the multi-threaded rings carry the
+  /// payload by value.
   std::vector<StreamDecision> Serve(PacketSource& source);
 
-  /// Multi-ingest ingestion: spawns opts.num_ingest threads (partition 0
-  /// runs on the calling thread), each pulling its own partition of
-  /// `source` and feeding only the shards it owns. Requires
-  /// source.partitions() == opts.num_ingest in multi-threaded mode; the
+  /// The serve driver. Single-threaded mode drains the partitions
+  /// sequentially and flushes. Multi-threaded mode runs Start, one ingest
+  /// thread per partition (partition 0 on the calling thread), each
+  /// pulling its own partition and feeding only the shards it owns, then
+  /// Stop. A multi-threaded server takes a one-partition source (the
+  /// calling thread then owns every shard) or exactly opts.num_ingest
+  /// partitions; any other count throws std::invalid_argument. The
   /// partition split must follow IngestPartitionOf (misrouted packets are
-  /// shed + counted, never enqueued). Single-threaded mode drains the
-  /// partitions sequentially — per-flow decisions are identical either
-  /// way (with shedding off), since a flow lives in exactly one partition.
+  /// shed + counted, never enqueued). Per-flow decisions are identical in
+  /// both modes (with shedding off), since a flow lives in exactly one
+  /// partition. Returns the decisions (TakeDecisions).
   std::vector<StreamDecision> Serve(PartitionedPacketSource& source);
 
   /// Moves out the accumulated decisions, shard-major (within a shard:
@@ -586,15 +594,21 @@ class StreamServer {
   void PublishState(std::shared_ptr<const ServingState> next);
   void WorkerLoop(Shard& shard, int cpu);
   void WatchdogLoop();
-  /// Burst-pushes `items` onto the shard's ring: yields under backpressure,
-  /// sheds the un-pushed remainder once the no-progress spin budget is
-  /// exhausted (shedding mode only).
-  void PushStage(Shard& shard, std::span<ShardItem> items);
+  /// The one packet-enqueue routine: burst-pushes `items` onto the shard's
+  /// ring, walking the escalation ladder under backpressure (any progress
+  /// resets it) and, in shedding mode, shedding the un-pushed remainder
+  /// once the ladder is exhausted. `trace_shed` records that shed on the
+  /// shard's trace track (once per call). The kRingPushStall fault site
+  /// fires here. Inlined into each caller (all in stream_server.cpp):
+  /// multi-threaded Push enqueues every packet through here, and the
+  /// flow-churn benchmark lost more throughput to an out-of-line call.
+  [[gnu::always_inline]] inline void PushStage(Shard& shard,
+                                               std::span<ShardItem> items,
+                                               bool trace_shed);
   /// One ingest thread: pulls partition `t` of `source`, stages packets
-  /// into per-shard burst buffers, flushes them with PushStage. `fanout`
-  /// is the total ingest thread count (shard ownership: shard % fanout).
-  void IngestLoop(PartitionedPacketSource& source, std::size_t t,
-                  std::size_t fanout);
+  /// into per-shard burst buffers, flushes them with PushStage. One thread
+  /// runs per partition and owns the shards where shard % partitions == t.
+  void IngestLoop(PartitionedPacketSource& source, std::size_t t);
 
   StreamServerOptions opts_;
   traffic::OnlineFeatureExtractor extractor_;

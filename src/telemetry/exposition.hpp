@@ -63,8 +63,9 @@ struct TelemetrySnapshot {
   bool attached = false;
   std::uint32_t sample_every = 0;
   bool tracing = false;
-  /// Clock reading (ns since telemetry start) when the snapshot was
-  /// taken; diff two snapshots for rates.
+  /// Steady-clock reading (ns) when the snapshot was taken: since
+  /// telemetry start when attached, since the clock's epoch when detached.
+  /// Diff two snapshots of one server for rates.
   std::uint64_t now_ns = 0;
   std::uint64_t active_version = 0;
   bool running = false;

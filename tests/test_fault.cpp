@@ -52,8 +52,8 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Same small 16-dim model family the stream-server tests serve.
-rt::LoweredModel Build16DimModel(std::span<const float> train_x,
-                                 std::size_t n, std::uint64_t seed) {
+std::shared_ptr<const rt::LoweredModel> Build16DimModel(
+    std::span<const float> train_x, std::size_t n, std::uint64_t seed) {
   core::ProgramBuilder b(16);
   auto segs = b.Partition(b.input(), 2, 2);
   std::mt19937_64 rng(seed);
@@ -67,17 +67,14 @@ rt::LoweredModel Build16DimModel(std::span<const float> train_x,
   }
   auto sum = b.SumReduce(std::span<const core::ValueId>(maps));
   auto out = b.Map(sum, core::MakeReLU(3), 64);
-  return comp::CompileToSwitch(b.Finish(out), train_x, n).lowered;
-}
-
-std::shared_ptr<const rt::LoweredModel> Alias(const rt::LoweredModel& m) {
-  return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &m);
+  return std::make_shared<const rt::LoweredModel>(
+      comp::CompileToSwitch(b.Finish(out), train_x, n).lowered);
 }
 
 struct Fixture {
   tr::Dataset ds;
-  rt::LoweredModel v1;
-  rt::LoweredModel v2;
+  std::shared_ptr<const rt::LoweredModel> v1;
+  std::shared_ptr<const rt::LoweredModel> v2;
   std::vector<tr::TracePacket> trace;
 };
 
@@ -220,10 +217,10 @@ TEST(FaultSwap, SingleThreadedPublishFailureRollsBackAppliedShards) {
     rt::FaultPlan plan;
     plan.Arm(rt::FaultSite::kSwapPublishFail, /*first=*/2, 1, 1);
     rt::FaultScope scope(plan);
-    EXPECT_THROW(server.SwapModel(Alias(fx.v2), 2), rt::SwapError);
+    EXPECT_THROW(server.SwapModel(fx.v2, 2), rt::SwapError);
     EXPECT_EQ(server.active_version(), 1u);
     // The fault budget is spent — the same version retries successfully.
-    server.SwapModel(Alias(fx.v2), 2);
+    server.SwapModel(fx.v2, 2);
     EXPECT_EQ(server.active_version(), 2u);
   }
   for (std::size_t i = half; i < fx.trace.size(); ++i) server.Push(fx.trace[i]);
@@ -238,7 +235,7 @@ TEST(FaultSwap, SingleThreadedPublishFailureRollsBackAppliedShards) {
   // the failed attempt was hitless.
   rt::StreamServer clean(fx.v1, opts);
   auto clean_run = ev::ServeTraceWithSwap(clean, fx.trace, half,
-                                          Alias(fx.v2), 2);
+                                          fx.v2, 2);
   auto got = server.TakeDecisions();
   auto sort = [](std::vector<rt::StreamDecision>& v) {
     std::sort(v.begin(), v.end(),
@@ -267,9 +264,9 @@ TEST(FaultSwap, MultiThreadedProbeFailureLeavesRingsUntouched) {
     rt::FaultPlan plan;
     plan.Arm(rt::FaultSite::kSwapPublishFail, 0, 1, 1);
     rt::FaultScope scope(plan);
-    EXPECT_THROW(server.SwapModel(Alias(fx.v2), 2), rt::SwapError);
+    EXPECT_THROW(server.SwapModel(fx.v2, 2), rt::SwapError);
     EXPECT_EQ(server.active_version(), 1u);
-    server.SwapModel(Alias(fx.v2), 2);
+    server.SwapModel(fx.v2, 2);
     EXPECT_EQ(server.active_version(), 2u);
   }
   for (std::size_t i = half; i < fx.trace.size(); ++i) server.Push(fx.trace[i]);
@@ -492,7 +489,7 @@ TEST(FaultSoak, RandomizedPlansNeverBreakAccountingOrHealth) {
     for (std::size_t i = 0; i < half; ++i) server.Push(fx.trace[i]);
     bool swapped = true;
     try {
-      server.SwapModel(Alias(fx.v2), 2);
+      server.SwapModel(fx.v2, 2);
     } catch (const rt::SwapError&) {
       swapped = false;  // kSwapPublishFail fired — still serving v1
     }

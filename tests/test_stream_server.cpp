@@ -41,8 +41,8 @@ namespace {
 /// A small multi-class model over one 16-dim feature family: Partition into
 /// 2-dim segments, per-segment fuzzy linear Maps, SumReduce, ReLU head.
 /// Trained (fuzzy tables calibrated) on the actual extracted features.
-rt::LoweredModel Build16DimModel(std::span<const float> train_x,
-                                 std::size_t n, std::uint64_t seed) {
+std::shared_ptr<const rt::LoweredModel> Build16DimModel(
+    std::span<const float> train_x, std::size_t n, std::uint64_t seed) {
   core::ProgramBuilder b(16);
   // 8 segments of 2 dims (Partition(vec, dim=2, stride=2) over 16 inputs).
   auto segs = b.Partition(b.input(), 2, 2);
@@ -57,8 +57,8 @@ rt::LoweredModel Build16DimModel(std::span<const float> train_x,
   }
   auto sum = b.SumReduce(std::span<const core::ValueId>(maps));
   auto out = b.Map(sum, core::MakeReLU(3), 64);
-  return pegasus::compiler::CompileToSwitch(b.Finish(out), train_x, n)
-      .lowered;
+  return std::make_shared<const rt::LoweredModel>(
+      pegasus::compiler::CompileToSwitch(b.Finish(out), train_x, n).lowered);
 }
 
 tr::ExtractOptions EveryPacket() {
@@ -100,7 +100,7 @@ void CheckParity(rt::FeatureKind kind, std::uint64_t model_seed) {
 
   const auto lowered =
       Build16DimModel(offline.x, offline.size(), model_seed);
-  rt::InferenceEngine engine(lowered, 64);
+  rt::InferenceEngine engine(*lowered, 64);
   const auto offline_pred = ev::PredictClassesLowered(engine, offline);
   const auto want = OfflineByPacket(offline, offline_pred);
 
@@ -242,7 +242,8 @@ namespace {
 /// Serves `trace`, swapping v1 -> v2 after pushing `swap_at` packets, and
 /// returns the decisions sorted per flow.
 std::vector<rt::StreamDecision> ServeWithSwap(
-    const rt::LoweredModel& v1, const rt::LoweredModel& v2,
+    std::shared_ptr<const rt::LoweredModel> v1,
+    std::shared_ptr<const rt::LoweredModel> v2,
     std::span<const tr::TracePacket> trace, std::size_t swap_at,
     std::size_t shards, bool mt) {
   rt::StreamServerOptions opts;
@@ -251,11 +252,8 @@ std::vector<rt::StreamDecision> ServeWithSwap(
   opts.batch_size = 32;
   opts.feature = rt::FeatureKind::kSeq;
   opts.multithreaded = mt;
-  rt::StreamServer server(v1, opts);
-  auto run = ev::ServeTraceWithSwap(
-      server, trace, swap_at,
-      std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &v2),
-      2);
+  rt::StreamServer server(std::move(v1), opts);
+  auto run = ev::ServeTraceWithSwap(server, trace, swap_at, std::move(v2), 2);
   EXPECT_EQ(run.stats.swaps, shards) << "one swap application per shard";
   EXPECT_EQ(run.stats.active_version, 2u);
   // Engines retired by the swap fold their counters into the shard carry:
@@ -279,13 +277,13 @@ TEST(StreamServer, HotSwapIsHitlessAndDeterministic) {
   const std::size_t swap_at = trace.size() / 2;
 
   // Reference runs: the whole trace under each version alone.
-  auto serve_pure = [&](const rt::LoweredModel& m) {
+  auto serve_pure = [&](std::shared_ptr<const rt::LoweredModel> m) {
     rt::StreamServerOptions opts;
     opts.num_shards = 1;
     opts.flows_per_shard = 1 << 10;
     opts.batch_size = 32;
     opts.feature = rt::FeatureKind::kSeq;
-    rt::StreamServer server(m, opts);
+    rt::StreamServer server(std::move(m), opts);
     return StreamByPacket(server.Serve(trace));
   };
   const auto pure_v1 = serve_pure(v1);
@@ -350,19 +348,15 @@ TEST(StreamServer, SwapRejectsMismatchedModelsAndStaleVersions) {
   const auto offline = tr::ExtractSeqFeatures(ds.flows);
   const auto v1 = Build16DimModel(offline.x, offline.size(), 31);
   const auto v2 = Build16DimModel(offline.x, offline.size(), 32);
-  auto alias = [](const rt::LoweredModel& m) {
-    return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
-                                                   &m);
-  };
 
   rt::StreamServerOptions opts;
   opts.feature = rt::FeatureKind::kSeq;
-  rt::StreamServer server(alias(v1), opts, 5);
+  rt::StreamServer server(v1, opts, 5);
   EXPECT_EQ(server.active_version(), 5u);
   EXPECT_THROW(server.SwapModel(nullptr, 6), std::invalid_argument);
-  EXPECT_THROW(server.SwapModel(alias(v2), 5), std::invalid_argument);
-  EXPECT_THROW(server.SwapModel(alias(v2), 4), std::invalid_argument);
-  server.SwapModel(alias(v2), 6);
+  EXPECT_THROW(server.SwapModel(v2, 5), std::invalid_argument);
+  EXPECT_THROW(server.SwapModel(v2, 4), std::invalid_argument);
+  server.SwapModel(v2, 6);
   EXPECT_EQ(server.active_version(), 6u);
   EXPECT_EQ(server.Stats().swaps, 1u);
 }
@@ -441,7 +435,10 @@ TEST(StreamServer, PartitionedMultiIngestMatchesSingleThreaded) {
   const auto lowered = Build16DimModel(offline.x, offline.size(), 3);
   const auto trace = tr::MergeTrace(ds.flows);
 
-  auto serve = [&](bool mt, std::size_t ingest) {
+  // `partitioned` false serves through Serve(PacketSource&): a
+  // one-partition source, which the calling thread drains alone however
+  // many ingest threads the server is built for.
+  auto serve = [&](bool mt, std::size_t ingest, bool partitioned) {
     rt::StreamServerOptions opts;
     opts.num_shards = 4;
     opts.flows_per_shard = 1 << 10;
@@ -450,12 +447,19 @@ TEST(StreamServer, PartitionedMultiIngestMatchesSingleThreaded) {
     opts.num_ingest = ingest;
     opts.burst = 16;  // forces many partial-burst flushes on a small trace
     rt::StreamServer server(lowered, opts);
-    auto run = ev::ServeTracePartitioned(server, trace);
-    EXPECT_EQ(run.stats.shed.total(), 0u)
+    std::vector<rt::StreamDecision> decisions;
+    if (partitioned) {
+      decisions = ev::ServeTracePartitioned(server, trace).decisions;
+    } else {
+      rt::SpanPacketSource source(trace);
+      decisions = server.Serve(source);
+    }
+    const auto stats = server.Stats();
+    EXPECT_EQ(stats.shed.total(), 0u)
         << "shedding disabled + correct partitioner must shed nothing";
-    EXPECT_EQ(run.stats.packets, trace.size());
-    SortByFlow(run.decisions);
-    return run.decisions;
+    EXPECT_EQ(stats.packets, trace.size());
+    SortByFlow(decisions);
+    return decisions;
   };
 
   // Reference: the deterministic single-threaded push loop.
@@ -467,9 +471,11 @@ TEST(StreamServer, PartitionedMultiIngestMatchesSingleThreaded) {
   auto ref = ref_server.Serve(trace);
   SortByFlow(ref);
 
-  // Single-threaded partitioned drain and 1/2-ingest multi-threaded runs
-  // must all equal the reference per flow, bit for bit.
-  for (auto& got : {serve(false, 1), serve(true, 1), serve(true, 2)}) {
+  // Single-threaded partitioned drain, 1/2-ingest multi-threaded runs and
+  // a one-partition source on a 2-ingest server must all equal the
+  // reference per flow, bit for bit.
+  for (auto& got : {serve(false, 1, true), serve(true, 1, true),
+                    serve(true, 2, true), serve(true, 2, false)}) {
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].flow, ref[i].flow);
@@ -491,10 +497,6 @@ TEST(StreamServer, MultiIngestHotSwapKeepsPerFlowDecisions) {
   const auto v1 = Build16DimModel(offline.x, offline.size(), 21);
   const auto v2 = Build16DimModel(offline.x, offline.size(), 22);
   const auto trace = tr::MergeTrace(ds.flows);
-  auto alias = [](const rt::LoweredModel& m) {
-    return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
-                                                   &m);
-  };
 
   auto serve = [&](bool mt, std::size_t ingest) {
     rt::StreamServerOptions opts;
@@ -503,8 +505,8 @@ TEST(StreamServer, MultiIngestHotSwapKeepsPerFlowDecisions) {
     opts.feature = rt::FeatureKind::kSeq;
     opts.multithreaded = mt;
     opts.num_ingest = ingest;
-    rt::StreamServer server(alias(v1), opts, 1);
-    server.SwapModel(alias(v2), 2);
+    rt::StreamServer server(v1, opts, 1);
+    server.SwapModel(v2, 2);
     auto run = ev::ServeTracePartitioned(server, trace);
     EXPECT_EQ(run.stats.active_version, 2u);
     SortByFlow(run.decisions);
@@ -528,33 +530,64 @@ TEST(StreamServer, SheddingIsBoundedAndAccounted) {
   const auto lowered = Build16DimModel(offline.x, offline.size(), 3);
   const auto trace = tr::MergeTrace(ds.flows);
 
-  rt::StreamServerOptions opts;
-  opts.num_shards = 1;
-  opts.flows_per_shard = 1 << 10;
-  opts.feature = rt::FeatureKind::kSeq;
-  opts.multithreaded = true;
-  opts.queue_capacity = 4;  // the ring can never hold a full 64-burst...
-  opts.burst = 64;
-  opts.shed = true;
-  // ...and an immediately-exhausted ladder sheds every stall
-  opts.escalation = rt::EscalationPolicy::Immediate();
-  rt::StreamServer server(lowered, opts);
-  const auto decisions = server.Serve(trace);
+  // Both producers shed through the same routine: Serve's ingest loop in
+  // 64-packet bursts, and Push one packet at a time.
+  for (const bool push : {false, true}) {
+    SCOPED_TRACE(push ? "Push" : "Serve");
+    rt::StreamServerOptions opts;
+    opts.num_shards = 1;
+    opts.flows_per_shard = 1 << 10;
+    opts.feature = rt::FeatureKind::kSeq;
+    opts.multithreaded = true;
+    opts.queue_capacity = 4;  // the ring can never hold a full 64-burst...
+    opts.burst = 64;
+    opts.shed = true;
+    // ...and an immediately-exhausted ladder sheds every stall
+    opts.escalation = rt::EscalationPolicy::Immediate();
+    // Tracing on, sampling off: a burst remainder's shed is traced once
+    // per burst, a lone packet's only when it was sampled (never, here).
+    opts.telemetry.trace_events = 1 << 16;
+    rt::StreamServer server(lowered, opts);
+    std::vector<rt::StreamDecision> decisions;
+    if (push) {
+      server.Start();
+      for (const auto& p : trace) server.Push(p);
+      server.Stop();
+      decisions = server.TakeDecisions();
+    } else {
+      decisions = server.Serve(trace);
+    }
 
-  const auto stats = server.Stats();
-  // Every offered packet is either served or counted shed — none lost.
-  EXPECT_GT(stats.shed.ring_full, 0u);
-  EXPECT_EQ(stats.shed.misrouted, 0u);
-  EXPECT_EQ(stats.packets + stats.shed.total(), trace.size());
-  EXPECT_EQ(stats.decisions + stats.warmup, stats.packets);
-  EXPECT_EQ(stats.decisions, decisions.size());
-  // Per-shard breakdown sums to the aggregate.
-  ASSERT_EQ(stats.shard_shed.size(), 1u);
-  EXPECT_EQ(stats.shard_shed[0].ring_full, stats.shed.ring_full);
+    const auto stats = server.Stats();
+    // Every offered packet is either served or counted shed — none lost.
+    EXPECT_GT(stats.shed.ring_full, 0u);
+    EXPECT_EQ(stats.shed.misrouted, 0u);
+    EXPECT_EQ(stats.packets + stats.shed.total(), trace.size());
+    EXPECT_EQ(stats.decisions + stats.warmup, stats.packets);
+    EXPECT_EQ(stats.decisions, decisions.size());
+    // Per-shard breakdown sums to the aggregate.
+    ASSERT_EQ(stats.shard_shed.size(), 1u);
+    EXPECT_EQ(stats.shard_shed[0].ring_full, stats.shed.ring_full);
 
-  // ResetStats clears the shed counters too.
-  server.ResetStats();
-  EXPECT_EQ(server.Stats().shed.total(), 0u);
+    // The flight recorder: each traced shed carries its packet count.
+    std::uint64_t shed_events = 0;
+    std::uint64_t shed_traced = 0;
+    for (const auto& e : server.DumpTrace()) {
+      if (e.kind != pegasus::telemetry::TraceEventKind::kShed) continue;
+      ++shed_events;
+      shed_traced += e.arg_a;
+    }
+    if (push) {
+      EXPECT_EQ(shed_events, 0u) << "unsampled single-packet sheds traced";
+    } else {
+      EXPECT_GT(shed_events, 0u);
+      EXPECT_EQ(shed_traced, stats.shed.ring_full);
+    }
+
+    // ResetStats clears the shed counters too.
+    server.ResetStats();
+    EXPECT_EQ(server.Stats().shed.total(), 0u);
+  }
 }
 
 TEST(StreamServer, ShedAccountingHoldsAcrossMidStreamSwap) {
@@ -585,10 +618,7 @@ TEST(StreamServer, ShedAccountingHoldsAcrossMidStreamSwap) {
     ++offered[rt::StreamServer::ShardIndexOf(p.key.digest, opts.num_shards)];
   }
 
-  auto run = ev::ServeTraceWithSwap(
-      server, trace, trace.size() / 2,
-      std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &v2),
-      2);
+  auto run = ev::ServeTraceWithSwap(server, trace, trace.size() / 2, v2, 2);
   const auto& stats = run.stats;
   EXPECT_EQ(stats.active_version, 2u);
   EXPECT_GT(stats.shed.ring_full, 0u);
@@ -849,10 +879,8 @@ TEST(StreamServer, ChurnMtMatchesStAcrossMidStreamSwapWithPinning) {
     opts.multithreaded = mt;
     opts.pin_policy = mt ? rt::CpuPinPolicy::kCompact : rt::CpuPinPolicy::kNone;
     rt::StreamServer server(v1, opts);
-    auto run = ev::ServeTraceWithSwap(
-        server, churn.trace, churn.trace.size() / 2,
-        std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{}, &v2),
-        2);
+    auto run = ev::ServeTraceWithSwap(server, churn.trace,
+                                      churn.trace.size() / 2, v2, 2);
     EXPECT_EQ(run.stats.active_version, 2u);
     EXPECT_GT(run.stats.table.evictions, 0u);
     return SortPerFlow(std::move(run.decisions));
@@ -953,11 +981,6 @@ DeltaFixture BuildDeltaFixture(std::span<const float> train_x,
   return fx;
 }
 
-std::shared_ptr<const rt::LoweredModel> Alias(const rt::LoweredModel& m) {
-  return std::shared_ptr<const rt::LoweredModel>(std::shared_ptr<void>{},
-                                                 &m);
-}
-
 rt::StreamServerOptions DeltaSwapOptions(std::size_t shards, bool mt) {
   rt::StreamServerOptions opts;
   opts.num_shards = shards;
@@ -985,9 +1008,9 @@ TEST(StreamServerDelta, DeltaSwapMatchesFullSwapDecisionForDecision) {
   const std::size_t swap_at = trace.size() / 2;
 
   // Reference: full SwapModel of the freshly lowered target (ST, 1 shard).
-  rt::StreamServer full(Alias(*fx.v1.lowered), DeltaSwapOptions(1, false));
+  rt::StreamServer full(fx.v1.lowered, DeltaSwapOptions(1, false));
   auto full_run =
-      ev::ServeTraceWithSwap(full, trace, swap_at, Alias(*fx.v2.lowered), 2);
+      ev::ServeTraceWithSwap(full, trace, swap_at, fx.v2.lowered, 2);
   SortDecisions(full_run.decisions);
   std::size_t post_swap = 0;
   for (const auto& d : full_run.decisions) post_swap += d.version == 2;
@@ -995,7 +1018,7 @@ TEST(StreamServerDelta, DeltaSwapMatchesFullSwapDecisionForDecision) {
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     for (const bool mt : {false, true}) {
-      rt::StreamServer server(Alias(*fx.v1.lowered),
+      rt::StreamServer server(fx.v1.lowered,
                               DeltaSwapOptions(shards, mt));
       auto run =
           ev::ServeTraceWithDeltaSwap(server, trace, swap_at, fx.patches, 2);
@@ -1030,7 +1053,7 @@ TEST(StreamServerDelta, RejectsStaleVersionsAndUnknownTables) {
   const auto offline = tr::ExtractSeqFeatures(ds.flows);
   const auto fx = BuildDeltaFixture(offline.x, offline.size());
 
-  rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, false));
+  rt::StreamServer server(fx.v1.lowered, DeltaSwapOptions(2, false));
   EXPECT_THROW(server.SwapModelDelta(fx.patches, 1), std::invalid_argument);
   EXPECT_THROW(server.SwapModelDelta(fx.patches, 0), std::invalid_argument);
   std::vector<dp::TablePatch> unknown{{"map_999", {}}};
@@ -1052,7 +1075,7 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
 
   // Single-threaded: fail on the third shard apply — shards 0 and 1 roll
   // back, the patched clone is discarded, the old version keeps serving.
-  rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(4, false));
+  rt::StreamServer server(fx.v1.lowered, DeltaSwapOptions(4, false));
   for (std::size_t i = 0; i < half; ++i) server.Push(trace[i]);
   {
     rt::FaultPlan plan;
@@ -1073,7 +1096,7 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
 
   // Decisions match a clean delta run with the swap at the same boundary:
   // the failed attempt was hitless.
-  rt::StreamServer clean(Alias(*fx.v1.lowered), DeltaSwapOptions(4, false));
+  rt::StreamServer clean(fx.v1.lowered, DeltaSwapOptions(4, false));
   auto clean_run =
       ev::ServeTraceWithDeltaSwap(clean, trace, half, fx.patches, 2);
   SortDecisions(clean_run.decisions);
@@ -1084,7 +1107,7 @@ TEST(StreamServerDelta, PublishFailureRollsBackAndRetries) {
   }
 
   // Multi-threaded: the probe build fails before anything reaches a ring.
-  rt::StreamServer mt(Alias(*fx.v1.lowered), DeltaSwapOptions(2, true));
+  rt::StreamServer mt(fx.v1.lowered, DeltaSwapOptions(2, true));
   mt.Start();
   for (std::size_t i = 0; i < half; ++i) mt.Push(trace[i]);
   {
@@ -1118,17 +1141,16 @@ rt::StreamServerOptions LiveOptions(bool mt) {
   opts.flows_per_shard = 1 << 10;
   opts.feature = rt::FeatureKind::kSeq;
   opts.multithreaded = mt;
-  opts.telemetry.attach = true;  // live decision counter, sampling off
   return opts;
 }
 
 /// Length of the shortest prefix of `trace` in which `filled` packets find
 /// their flow's window full, i.e. the prefix that yields exactly `filled`
 /// decisions once flushed.
-std::size_t PrefixWithFilledWindows(const rt::LoweredModel& model,
-                                    std::span<const tr::TracePacket> trace,
-                                    std::uint64_t filled) {
-  rt::StreamServer st(model, LiveOptions(false));
+std::size_t PrefixWithFilledWindows(
+    std::shared_ptr<const rt::LoweredModel> model,
+    std::span<const tr::TracePacket> trace, std::uint64_t filled) {
+  rt::StreamServer st(std::move(model), LiveOptions(false));
   std::size_t n = 0;
   for (; n < trace.size(); ++n) {
     const auto stats = st.Stats();
@@ -1263,11 +1285,11 @@ TEST(StreamServerIdleFlush, MidStreamIdleFlushesKeepMtEqualToStAcrossSwaps) {
   constexpr std::size_t kChunk = 100;
 
   auto serve = [&](bool mt) {
-    rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, mt));
+    rt::StreamServer server(fx.v1.lowered, DeltaSwapOptions(2, mt));
     if (mt) server.Start();
     for (std::size_t i = 0; i < trace.size(); ++i) {
       if (i == delta_at) server.SwapModelDelta(fx.patches, 2);
-      if (i == full_at) server.SwapModel(Alias(*fx.v1.lowered), 3);
+      if (i == full_at) server.SwapModel(fx.v1.lowered, 3);
       server.Push(trace[i]);
       // A pause after every chunk lets the rings run dry, so MT workers
       // flush partial batches mid-stream.
@@ -1311,11 +1333,11 @@ TEST(StreamServerCounters, SnapshotPacketsEqualStatsPacketsAcrossSwaps) {
   const std::size_t full_at = 2 * trace.size() / 3;
 
   auto serve = [&](bool mt) {
-    rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, mt));
+    rt::StreamServer server(fx.v1.lowered, DeltaSwapOptions(2, mt));
     if (mt) server.Start();
     for (std::size_t i = 0; i < trace.size(); ++i) {
       if (i == delta_at) server.SwapModelDelta(fx.patches, 2);
-      if (i == full_at) server.SwapModel(Alias(*fx.v1.lowered), 3);
+      if (i == full_at) server.SwapModel(fx.v1.lowered, 3);
       server.Push(trace[i]);
     }
     if (mt) {
@@ -1356,7 +1378,7 @@ TEST(StreamServerCounters, LiveReadsNeverDecreaseAndAreExactAfterStop) {
   const auto fx = BuildDeltaFixture(offline.x, offline.size());
   const auto trace = tr::MergeTrace(ds.flows);
   const std::size_t delta_at = trace.size() / 2;
-  rt::StreamServer server(Alias(*fx.v1.lowered), DeltaSwapOptions(2, true));
+  rt::StreamServer server(fx.v1.lowered, DeltaSwapOptions(2, true));
 
   // Every counter the three views expose, in a fixed order.
   const auto read_all = [&server] {

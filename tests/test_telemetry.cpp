@@ -463,7 +463,7 @@ TEST(ServerTelemetry, SampledStagesPopulateSingleThreaded) {
   EXPECT_TRUE(saw_span);
 }
 
-TEST(ServerTelemetry, DetachedServerReportsHealthOnly) {
+TEST(ServerTelemetry, DetachedServerReportsEveryCounter) {
   const World w = MakeWorld();
   rt::StreamServer server(w.model, BaseOpts());  // telemetry detached
   const auto decisions = server.Serve(w.trace);
@@ -476,6 +476,27 @@ TEST(ServerTelemetry, DetachedServerReportsHealthOnly) {
   EXPECT_EQ(snap.stage(tel::Stage::kEndToEnd).count, 0u);
   EXPECT_TRUE(server.DumpTrace().empty());
   for (const auto& d : decisions) EXPECT_EQ(d.latency_ns, 0u);
+}
+
+TEST(ServerTelemetry, DetachedSnapshotsClockARate) {
+  // A rate needs elapsed time: two snapshots of a detached server taken
+  // around a run must be on a clock that advanced, or a StatsReporter over
+  // the server prints pps=0 while the counters move.
+  const World w = MakeWorld();
+  auto opts = BaseOpts();
+  opts.multithreaded = true;
+  rt::StreamServer server(w.model, opts);  // telemetry detached
+  const auto before = server.TelemetrySnapshot();
+  const auto decisions = server.Serve(w.trace);
+  const auto after = server.TelemetrySnapshot();
+  ASSERT_FALSE(after.attached);
+  ASSERT_GT(after.now_ns, before.now_ns);
+  const double seconds = static_cast<double>(after.now_ns - before.now_ns) *
+                         1e-9;
+  const double pps =
+      static_cast<double>(after.packets - before.packets) / seconds;
+  EXPECT_EQ(after.packets, w.trace.size());
+  EXPECT_GT(pps, 0.0);
 }
 
 TEST(ServerTelemetry, SamplingNeverChangesDecisions) {
