@@ -82,9 +82,9 @@ int main() {
   const double host_fuzzy_rate = MeasureRate(
       [&](std::size_t i) { mlp->Compiled().EvaluateRaw(row(i)); }, 20000);
 
-  // Batched simulator rate: the InferenceEngine preallocates a PHV pool and
-  // runs whole batches stage-major through the pipeline, so per-packet
-  // allocation disappears from the hot loop.
+  // Batched simulator rate: the InferenceEngine runs whole batches through
+  // its flat batch kernel, compiled once from the sealed pipeline, so
+  // per-packet allocation and table interpretation leave the hot loop.
   const std::size_t batch_rows = std::min<std::size_t>(n, 256);
   pegasus::runtime::InferenceEngine engine(lowered, batch_rows);
   std::vector<std::int64_t> raw_out(batch_rows * lowered.OutputDim());

@@ -5,6 +5,8 @@
 // reports the line-rate model for the real switch).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <random>
 
@@ -14,6 +16,7 @@
 #include "dataplane/crc.hpp"
 #include "dataplane/pipeline.hpp"
 #include "dataplane/table.hpp"
+#include "fixedpoint/fixedpoint.hpp"
 #include "runtime/inference_engine.hpp"
 
 namespace {
@@ -237,7 +240,8 @@ BENCHMARK(BM_PipelineProcess);
 
 // ---------------------------------------------------------------------------
 // Per-call vs batched inference over a lowered model (the acceptance metric
-// for the runtime::InferenceEngine: batching must beat per-call Infer).
+// for the runtime::InferenceEngine: batching must beat per-call Infer), and
+// the batched engine against its oracle twin.
 // ---------------------------------------------------------------------------
 
 const runtime::LoweredModel& MicroLoweredModel() {
@@ -288,7 +292,51 @@ void BM_InferenceEngineBatched(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_InferenceEngineBatched)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_InferenceEngineBatched)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
+
+// The engine's oracle twin: the same rows through the reference path the
+// batch kernel replaces — a zeroed Phv per row, filled as the parser would,
+// then Pipeline::ProcessBatch — and the outputs read and dequantized.
+void BM_InferenceEngineBatchedOracle(benchmark::State& state) {
+  const runtime::LoweredModel& lowered = MicroLoweredModel();
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto probes = RandomRows(batch, 4, 13);
+  std::vector<dataplane::Phv> phvs(batch, dataplane::Phv(lowered.layout()));
+  std::vector<float> out(batch * lowered.OutputDim());
+  const std::int64_t dmax = (std::int64_t{1} << lowered.input_bits()) - 1;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < batch; ++i) {
+      dataplane::Phv& phv = phvs[i];
+      phv.Reset();
+      for (std::size_t d = 0; d < lowered.InputDim(); ++d) {
+        phv.Set(lowered.input_fields()[d],
+                std::clamp<std::int64_t>(std::llround(probes[i * 4 + d]), 0,
+                                         dmax));
+      }
+      for (const auto& [field, value] : lowered.parser_inits()) {
+        phv.Set(field, value);
+      }
+    }
+    lowered.pipeline().ProcessBatch(std::span<dataplane::Phv>(phvs));
+    for (std::size_t i = 0; i < batch; ++i) {
+      for (std::size_t d = 0; d < lowered.OutputDim(); ++d) {
+        const auto& q = lowered.output_quant()[d];
+        out[i * lowered.OutputDim() + d] = static_cast<float>(
+            fixedpoint::Dequantize(
+                phvs[i].Get(lowered.output_fields()[d]) - q.bias, q.fmt));
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_InferenceEngineBatchedOracle)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
 
 }  // namespace
 

@@ -80,8 +80,8 @@ int main() {
   std::printf("fuzzy vs exact float: max abs error %.4f (fuzzy cells are "
               "~2-4 units wide here)\n", max_err);
 
-  // Batched inference: a preallocated PHV pool, whole batches through the
-  // pipeline — same bits as the per-packet path, no per-packet allocation.
+  // Batched inference: whole batches through the engine's flat batch
+  // kernel — same bits as the per-packet path, no per-packet allocation.
   const std::size_t batch = 64;
   runtime::InferenceEngine engine(switch_model, batch);
   std::vector<float> batch_x(batch * 4);

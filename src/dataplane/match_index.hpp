@@ -107,6 +107,9 @@ class MatchIndex {
   void ApplyDelta(std::span<const EntryPatch> patches);
 
  private:
+  // The batch kernel serves straight from the planes and the arena.
+  friend class BatchKernel;
+
   /// One 4-bit chunk of a ternary key field: 16 bitset rows starting at
   /// `plane_row * words_` inside plane_.
   struct NibbleChunk {

@@ -55,8 +55,7 @@ class Phv {
   void Set(FieldId id, std::int64_t v) { values_.at(id) = v; }
 
   /// Returns the PHV to its parse-time state (all fields zero) so a
-  /// preallocated PHV can be reused across packets — the hook the batched
-  /// runtime::InferenceEngine relies on to stay allocation-free.
+  /// preallocated PHV can be reused across packets.
   void Reset() {
     for (std::int64_t& v : values_) v = 0;
   }

@@ -107,6 +107,9 @@ class Pipeline {
   std::unique_ptr<Pipeline> Clone() const;
 
  private:
+  // The batch kernel walks the placed tables in stage order.
+  friend class BatchKernel;
+
   struct Stage {
     std::vector<std::unique_ptr<MatchActionTable>> tables;
     std::size_t sram_bits = 0;

@@ -112,10 +112,11 @@ class MatchActionTable {
   void Seal();
   bool sealed() const { return sealed_; }
   /// True when a previously sealed table was mutated and not re-sealed —
-  /// the use-after-invalidate hazard window. A live InferenceEngine holding
-  /// the pipeline would silently serve the linear fallback here, so the
-  /// serving paths (Apply/ApplyBatch) assert !invalidated() in debug
-  /// builds; Lookup stays usable as the linear-scan oracle for tests.
+  /// the use-after-invalidate hazard window: Apply/ApplyBatch would
+  /// silently serve the linear fallback and a BatchKernel built earlier
+  /// would read a freed index, so Apply/ApplyBatch assert !invalidated()
+  /// in debug builds (InferenceEngine asserts the pipeline generation);
+  /// Lookup stays usable as the linear-scan oracle for tests.
   bool invalidated() const { return ever_sealed_ && !sealed_; }
   /// Monotonic generation counter: bumped by every mutation (AddEntry,
   /// SetMissProgram) and every (non-idempotent) Seal(). Snapshot it when
@@ -185,7 +186,12 @@ class MatchActionTable {
   std::size_t TcamBits() const;
 
  private:
+  // The batch kernel compiles a sealed table's lookup and action program
+  // once, reading its keys, entries, index and programs directly.
+  friend class BatchKernel;
+
   std::uint64_t ExactHash(const std::vector<std::uint64_t>& key) const;
+  std::uint64_t ExactHash(const std::uint64_t* key, std::size_t nk) const;
   /// Same byte-for-byte hash, computed straight from the PHV key fields —
   /// no per-lookup key buffer is materialized.
   std::uint64_t ExactHashFromPhv(const Phv& phv) const;

@@ -9,53 +9,58 @@
 
 namespace pegasus::runtime {
 
-InferenceEngine::InferenceEngine(const LoweredModel& model,
-                                 std::size_t batch_capacity)
-    : model_(&model) {
-  if (batch_capacity == 0) {
-    throw std::invalid_argument("InferenceEngine: batch_capacity must be > 0");
-  }
-  // Lower() places every table through Pipeline::PlaceTable, which seals
-  // it; assert that here so the batched hot loop is guaranteed to serve
-  // from compiled match indexes, never the linear fallback.
+namespace {
+
+/// Lower() places every table through Pipeline::PlaceTable, which seals
+/// it; checked before the kernel compiles the tables.
+const dataplane::Pipeline& SealedPipeline(const LoweredModel& model) {
   if (!model.pipeline().FullySealed()) {
     throw std::logic_error(
         "InferenceEngine: lowered pipeline has unsealed tables");
   }
-  pool_.reserve(batch_capacity);
-  for (std::size_t i = 0; i < batch_capacity; ++i) {
-    pool_.emplace_back(model.layout());
-  }
-  raw_scratch_.resize(batch_capacity * model.OutputDim());
-  pipeline_generation_ = model.pipeline().Generation();
+  return model.pipeline();
 }
 
-void InferenceEngine::RunChunk(const float* rows, std::size_t n) {
-  // Use-after-invalidate guard: the pipeline must not have been resealed
-  // or mutated since this engine snapshotted it.
-  assert(model_->pipeline().Generation() == pipeline_generation_ &&
-         "InferenceEngine: pipeline mutated under a live engine");
-  const auto& input_fields = model_->input_fields();
-  const auto& parser_inits = model_->parser_inits();
-  const std::size_t in_dim = input_fields.size();
-  const std::int64_t dmax = (std::int64_t{1} << model_->input_bits()) - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    dataplane::Phv& phv = pool_[i];
-    phv.Reset();
-    const float* row = rows + i * in_dim;
-    for (std::size_t d = 0; d < in_dim; ++d) {
-      const std::int64_t u =
-          std::clamp<std::int64_t>(std::llround(row[d]), 0, dmax);
-      phv.Set(input_fields[d], u);
+}  // namespace
+
+std::int64_t InferenceEngine::QuantizeFeature(float v, std::int64_t dmax) {
+  // For 0 <= v < 2^22, double(v) + 0.5 is exact (or, below 2^-30, stays
+  // under 1), so truncating it rounds half away from zero as llround does.
+  const std::int64_t rounded =
+      v >= 0.0f && v < 4194304.0f
+          ? static_cast<std::int64_t>(static_cast<double>(v) + 0.5)
+          : std::llround(v);
+  return std::clamp<std::int64_t>(rounded, 0, dmax);
+}
+
+InferenceEngine::InferenceEngine(const LoweredModel& model,
+                                 std::size_t batch_capacity)
+    : model_(&model),
+      kernel_(SealedPipeline(model), model.layout().NumFields(),
+              batch_capacity) {
+  const std::size_t width = model.layout().NumFields();
+  const auto column = [width](dataplane::FieldId f) {
+    if (f >= width) {
+      throw std::invalid_argument("InferenceEngine: field outside the PHV");
     }
-    for (const auto& [field, value] : parser_inits) {
-      phv.Set(field, value);
+    return f;
+  };
+  template_row_.assign(width, 0);
+  std::vector<bool> parsed(width, false);
+  for (const auto& [field, value] : model.parser_inits()) {
+    template_row_[column(field)] = value;
+    parsed[field] = true;
+  }
+  const auto& input_fields = model.input_fields();
+  for (std::size_t d = 0; d < input_fields.size(); ++d) {
+    if (!parsed[column(input_fields[d])]) {
+      input_columns_.emplace_back(d, input_fields[d]);
     }
   }
-  stats_.table_hits +=
-      model_->pipeline().ProcessBatch(std::span<dataplane::Phv>(pool_.data(), n));
-  stats_.packets += n;
-  ++stats_.chunks;
+  for (dataplane::FieldId f : model.output_fields()) column(f);
+  rows_.resize(batch_capacity * width);
+  raw_scratch_.resize(batch_capacity * model.OutputDim());
+  pipeline_generation_ = model.pipeline().Generation();
 }
 
 void InferenceEngine::InferRaw(std::span<const float> features, std::size_t n,
@@ -70,17 +75,31 @@ void InferenceEngine::InferRaw(std::span<const float> features, std::size_t n,
     throw std::invalid_argument("InferenceEngine::InferRaw: output buffer "
                                 "size does not match n x output_dim");
   }
+  assert(model_->pipeline().Generation() == pipeline_generation_ &&
+         "InferenceEngine: pipeline mutated under a live engine");
   const auto& output_fields = model_->output_fields();
   const auto& output_quant = model_->output_quant();
+  const std::size_t width = template_row_.size();
+  const std::int64_t dmax = (std::int64_t{1} << model_->input_bits()) - 1;
   std::size_t done = 0;
   while (done < n) {
-    const std::size_t chunk = std::min(n - done, pool_.size());
-    RunChunk(features.data() + done * in_dim, chunk);
+    const std::size_t chunk = std::min(n - done, batch_capacity());
     for (std::size_t i = 0; i < chunk; ++i) {
+      std::int64_t* row = rows_.data() + i * width;
+      std::copy(template_row_.begin(), template_row_.end(), row);
+      const float* x = features.data() + (done + i) * in_dim;
+      for (const auto& [d, column] : input_columns_) {
+        row[column] = QuantizeFeature(x[d], dmax);
+      }
+    }
+    stats_.table_hits += kernel_.Run(rows_.data(), chunk);
+    stats_.packets += chunk;
+    ++stats_.chunks;
+    for (std::size_t i = 0; i < chunk; ++i) {
+      const std::int64_t* row = rows_.data() + i * width;
       std::int64_t* out_row = out_raw.data() + (done + i) * out_dim;
-      const dataplane::Phv& phv = pool_[i];
       for (std::size_t d = 0; d < out_dim; ++d) {
-        out_row[d] = phv.Get(output_fields[d]) - output_quant[d].bias;
+        out_row[d] = row[output_fields[d]] - output_quant[d].bias;
       }
     }
     done += chunk;
@@ -102,7 +121,7 @@ void InferenceEngine::Infer(std::span<const float> features, std::size_t n,
   const auto& output_quant = model_->output_quant();
   std::size_t done = 0;
   while (done < n) {
-    const std::size_t chunk = std::min(n - done, pool_.size());
+    const std::size_t chunk = std::min(n - done, batch_capacity());
     const std::span<std::int64_t> raw(raw_scratch_.data(), chunk * out_dim);
     InferRaw(features.subspan(done * in_dim, chunk * in_dim), chunk, raw);
     for (std::size_t i = 0; i < chunk * out_dim; ++i) {

@@ -1,29 +1,31 @@
 // Batched, allocation-free inference over a LoweredModel.
 //
-// The per-call LoweredModel::Infer path used to allocate a fresh PHV and
-// output vectors for every packet. The engine instead preallocates a pool
-// of PHVs at construction and, per batch, (1) resets + fills the parser
-// state for up to `batch_capacity` packets, (2) runs the whole batch
-// through the pipeline stage-major (dataplane::Pipeline::ProcessBatch, so
-// each table's entries stay cache-hot across packets), and (3) reads the
-// raw / dequantized outputs into caller-provided buffers. Nothing is
-// allocated after construction on the span-based paths.
+// The engine compiles the model's sealed pipeline into a flat batch kernel
+// (dataplane/batch_kernel.hpp) at construction and, per chunk of up to
+// `batch_capacity` packets, (1) copies a template row — every PHV field
+// zero except the parser's initial values — into each row of a row-major
+// int64 matrix and writes the rounded, clamped features over it, (2) runs
+// the kernel over the matrix, and (3) reads the raw / dequantized outputs
+// from their columns into caller-provided buffers. Nothing is allocated
+// after construction on the span-based paths.
 //
-// Bit-exactness: every packet sees exactly the writes LoweredModel::InferRaw
-// performed — zeroed PHV, clamped features, parser inits, stages in order —
-// so batched outputs are bit-identical to N sequential per-call inferences
-// (asserted by tests/test_inference_engine.cpp). LoweredModel::Infer and
-// InferRaw are themselves reimplemented on a capacity-1 engine.
+// Bit-exactness: every packet sees exactly the writes of a zeroed Phv
+// filled the same way and run through Pipeline::ProcessBatch — the
+// reference interpreter, which the engine no longer calls — so outputs and
+// table hits are bit-identical to it (tests/test_batch_kernel.cpp).
+// LoweredModel::Infer and InferRaw are themselves a capacity-1 engine.
 //
 // Thread-safety: an engine owns mutable scratch state; use one engine per
-// thread. The engine borrows the LoweredModel and must not outlive it.
+// thread. The engine borrows the LoweredModel (its kernel reads the placed
+// tables' indexes) and must not outlive it or serve across a mutation of
+// it; rebuild the engine instead.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "dataplane/phv.hpp"
+#include "dataplane/batch_kernel.hpp"
 #include "runtime/lowering.hpp"
 
 namespace pegasus::runtime {
@@ -33,8 +35,8 @@ class InferenceEngine {
   static constexpr std::size_t kDefaultBatchCapacity = 64;
 
   /// Cumulative work counters, aggregated by StreamServerStats per shard.
-  /// `chunks` counts pipeline batch launches (<= batch_capacity packets
-  /// each); `table_hits` is summed over Pipeline::ProcessBatch.
+  /// `chunks` counts kernel launches (<= batch_capacity packets each);
+  /// `table_hits` counts table hits as Pipeline::ProcessBatch would.
   struct Stats {
     std::uint64_t packets = 0;
     std::uint64_t chunks = 0;
@@ -48,10 +50,17 @@ class InferenceEngine {
     }
   };
 
+  /// Builds the kernel. Throws std::invalid_argument on a zero capacity or
+  /// a pipeline the kernel rejects (an action reading past an entry's
+  /// data), std::logic_error when a placed table is not sealed.
   explicit InferenceEngine(const LoweredModel& model,
                            std::size_t batch_capacity = kDefaultBatchCapacity);
 
-  std::size_t batch_capacity() const { return pool_.size(); }
+  /// The parser's feature quantization: std::clamp(std::llround(v), 0,
+  /// dmax), bit for bit, without the libm call for in-range values.
+  static std::int64_t QuantizeFeature(float v, std::int64_t dmax);
+
+  std::size_t batch_capacity() const { return kernel_.max_rows(); }
   std::size_t input_dim() const { return model_->InputDim(); }
   std::size_t output_dim() const { return model_->OutputDim(); }
 
@@ -69,24 +78,27 @@ class InferenceEngine {
   void Infer(std::span<const float> features, std::size_t n,
              std::span<float> out);
 
-  /// Single-packet conveniences reusing the pool (only the returned vector
-  /// is allocated). These are what LoweredModel::Infer/InferRaw delegate to.
+  /// Single-packet conveniences (only the returned vector is allocated).
+  /// These are what LoweredModel::Infer/InferRaw delegate to.
   std::vector<std::int64_t> InferRaw(std::span<const float> features);
   std::vector<float> Infer(std::span<const float> features);
 
  private:
-  /// Fills + runs pool_[0..n) for rows starting at `rows`; outputs are read
-  /// back by the caller.
-  void RunChunk(const float* rows, std::size_t n);
-
   const LoweredModel* model_;
-  std::vector<dataplane::Phv> pool_;
+  dataplane::BatchKernel kernel_;
+  /// Parse-time PHV: zero, then the parser's initial values.
+  std::vector<std::int64_t> template_row_;
+  /// (feature index, column) pairs the fill writes; an input field the
+  /// parser also initializes keeps the parser's value, as on a Phv.
+  std::vector<std::pair<std::size_t, std::size_t>> input_columns_;
+  /// The chunk's PHVs, batch_capacity rows of template_row_.size().
+  std::vector<std::int64_t> rows_;
   /// Per-chunk raw outputs for the dequantizing Infer path.
   std::vector<std::int64_t> raw_scratch_;
   Stats stats_;
-  /// Pipeline::Generation() snapshot from construction; RunChunk asserts it
-  /// unchanged in debug builds (use-after-invalidate detection — a placed
-  /// table mutated under a live engine).
+  /// Pipeline::Generation() snapshot from construction; InferRaw asserts
+  /// it unchanged in debug builds (a placed table mutated under a live
+  /// engine leaves the kernel reading a stale index).
   std::uint64_t pipeline_generation_ = 0;
 };
 

@@ -98,12 +98,16 @@ LoweredModel LowerImpl(const core::CompiledModel& model,
                        const TableEntryPush* pushes, std::size_t num_pushes);
 }  // namespace detail
 
-/// A model placed on the simulated switch.
+/// A model placed on the simulated switch: the PHV layout, the staged
+/// pipeline of sealed tables and the parser/deparser bindings around it.
 ///
-/// Per-call Infer/InferRaw are implemented on top of a lazily created
-/// single-packet InferenceEngine (see runtime/inference_engine.hpp), so they
-/// are allocation-free on the hot path but NOT thread-safe; for concurrent
-/// or high-throughput use, construct one InferenceEngine per thread.
+/// The pipeline serves two ways. InferenceEngine compiles it into a flat
+/// batch kernel (dataplane/batch_kernel.hpp) — the serving path, and what
+/// per-call Infer/InferRaw run on, through a lazily created single-packet
+/// engine (allocation-free on the hot path but NOT thread-safe; for
+/// concurrent or high-throughput use, construct one InferenceEngine per
+/// thread). pipeline().Process / ProcessBatch interpret the tables over
+/// Phv objects — the reference the kernel is tested against.
 class LoweredModel {
  public:
   LoweredModel();

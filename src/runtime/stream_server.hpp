@@ -8,11 +8,11 @@
 // the flow's OnlineFlowState (running min/max, stored fuzzy indexes, raw
 // window — traffic/stream.hpp), updates it in place, and once the window is
 // full renders the model's feature family into the shard's batch buffer.
-// Full batches flush through the shard's private InferenceEngine
-// (Pipeline::ProcessBatch under the hood), turning per-packet inference
-// into entry-major batched table matches. The per-packet path performs no
-// heap allocation — flow state, batch rows, logits and the PHV pool are all
-// preallocated. Decisions append to per-shard sinks that the caller merges
+// Full batches flush through the shard's private InferenceEngine, whose
+// flat batch kernel (dataplane/batch_kernel.hpp, compiled from the sealed
+// pipeline when the engine is built) runs every table over the whole batch
+// at once. The per-packet path performs no heap allocation — flow state,
+// batch rows, logits and the engine's PHV matrix are all preallocated. Decisions append to per-shard sinks that the caller merges
 // after Stop() (TakeDecisions); Serve(span) sizes each sink from the
 // trace's *observed* shard shares (an exact routing pre-pass), so a skewed
 // flow-hash distribution no longer grows a hot shard's vector mid-run.

@@ -141,6 +141,9 @@ StatsReporter::~StatsReporter() { Stop(); }
 
 void StatsReporter::Start() {
   if (thread_.joinable()) return;
+  // The baseline every rate is measured from, not printed: even a run that
+  // ends before the first tick gets a final line with its whole-run rate.
+  last_ = take_();
   stop_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { Loop(); });
 }
@@ -171,7 +174,7 @@ void StatsReporter::Loop() {
 void StatsReporter::EmitLine(const TelemetrySnapshot& cur) {
   double pps = 0.0;
   double shed_rate = 0.0;
-  if (has_last_ && cur.now_ns > last_.now_ns) {
+  if (cur.now_ns > last_.now_ns) {
     const double dt =
         static_cast<double>(cur.now_ns - last_.now_ns) * 1e-9;
     // A count that fell between ticks was reset (ResetStats) and counted
@@ -199,7 +202,6 @@ void StatsReporter::EmitLine(const TelemetrySnapshot& cur) {
   os_ << line;
   os_.flush();
   last_ = cur;
-  has_last_ = true;
   ticks_.fetch_add(1, std::memory_order_relaxed);
 }
 

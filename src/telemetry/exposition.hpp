@@ -99,8 +99,9 @@ void WritePrometheus(const TelemetrySnapshot& snap, std::ostream& os);
 /// Background reporter: calls `take` every `interval_ms` and writes one
 /// human-oriented line per tick (pps, shed rate, max ring depth/HWM, hit
 /// rate, e2e p50/p99/p999) to `os`. Rates come from diffing consecutive
-/// snapshots. The callback form keeps this header free of the runtime —
-/// pass [&server] { return server.TelemetrySnapshot(); }.
+/// snapshots, the first line's against a baseline Start() takes. The
+/// callback form keeps this header free of the runtime — pass
+/// [&server] { return server.TelemetrySnapshot(); }.
 class StatsReporter {
  public:
   using SnapshotFn = std::function<TelemetrySnapshot()>;
@@ -112,6 +113,7 @@ class StatsReporter {
   StatsReporter(const StatsReporter&) = delete;
   StatsReporter& operator=(const StatsReporter&) = delete;
 
+  /// Takes the baseline snapshot and starts the thread.
   void Start();
   /// Stops the thread after emitting one final line (so short runs still
   /// produce output). Idempotent; the destructor calls it.
@@ -127,8 +129,8 @@ class StatsReporter {
   SnapshotFn take_;
   std::ostream& os_;
   std::uint64_t interval_ms_;
+  /// The previous line's snapshot; Start() takes the first one.
   TelemetrySnapshot last_;
-  bool has_last_ = false;
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<bool> stop_{false};
   std::thread thread_;

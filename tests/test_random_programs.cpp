@@ -7,7 +7,10 @@
 //   2. the lowered pipeline is bit-identical to the host fuzzy evaluator;
 //   3. fuzzy outputs track the exact float outputs within a bound derived
 //      from the program's Lipschitz-ish structure (loose sanity bound);
-//   4. serialization round-trips the dataplane semantics.
+//   4. serialization round-trips the dataplane semantics;
+//   5. the batched InferenceEngine (the serving kernel) is bit-identical to
+//      the reference interpreter, Pipeline::ProcessBatch, outputs and
+//      table hits.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -16,6 +19,8 @@
 #include "core/fusion.hpp"
 #include "core/operators.hpp"
 #include "core/tablegen.hpp"
+#include "pipeline_oracle.hpp"
+#include "runtime/inference_engine.hpp"
 #include "runtime/lowering.hpp"
 
 namespace core = pegasus::core;
@@ -123,6 +128,14 @@ TEST_P(RandomPrograms, AllInvariantsHold) {
     std::span<const float> row(probes.data() + i * in_dim, in_dim);
     ASSERT_EQ(cm.EvaluateRaw(row), loaded.EvaluateRaw(row));
   }
+
+  // (5) batched engine == Phv fill + ProcessBatch, across chunk edges.
+  rt::InferenceEngine engine(lowered, 24);
+  std::vector<std::int64_t> batched(64 * lowered.OutputDim());
+  engine.InferRaw(probes, 64, batched);
+  const auto oracle = pegasus::testing::RunOracle(lowered, probes, 64);
+  EXPECT_EQ(batched, oracle.raw);
+  EXPECT_EQ(engine.stats().table_hits, oracle.table_hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms, ::testing::Range(0, 12));

@@ -741,6 +741,28 @@ TEST(Exposition, StatsReporterEmitsLines) {
   EXPECT_NE(out.find("e2e_p50="), std::string::npos);
 }
 
+TEST(Exposition, StatsReporterRateCoversARunShorterThanOneInterval) {
+  // A run that ends long before the reporter's first tick still gets a
+  // rate: the final line diffs against the baseline taken at Start().
+  const World w = MakeWorld();
+  auto opts = BaseOpts();
+  opts.multithreaded = true;
+  rt::StreamServer server(w.model, opts);
+  std::ostringstream os;
+  tel::StatsReporter reporter([&server] { return server.TelemetrySnapshot(); },
+                              os, /*interval_ms=*/1000);
+  reporter.Start();
+  const auto decisions = server.Serve(w.trace);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  reporter.Stop();
+  ASSERT_GT(decisions.size(), 0u);
+  ASSERT_GE(reporter.ticks(), 1u);
+  const std::string out = os.str();
+  const std::size_t at = out.rfind("pps=");  // the final line
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_GT(std::strtod(out.c_str() + at + 4, nullptr), 0.0) << out;
+}
+
 TEST(Exposition, StatsReporterTreatsAFallingCountAsARestart) {
   // ResetStats() zeroes packets and shed_total between two ticks; the
   // reporter must read the fall as a restart from zero, not as an

@@ -2,8 +2,12 @@
 """Condense BENCH_*.json artifacts into CI comparison summaries.
 
 Micro mode (default): reads the google-benchmark BENCH_micro.json, pairs
-each BM_*TableLookup/<N> family with its *Linear counterpart, and writes a
-compact comparison JSON (speedup per entry count, plus build provenance).
+each BM_*TableLookup/<N> family with its *Linear counterpart and each
+BM_InferenceEngineBatched/<N> batch size with its *Oracle twin (the same
+rows through a Phv fill and Pipeline::ProcessBatch, the interpreter the
+engine's batch kernel replaces), and writes a compact comparison JSON
+(speedup per entry count or batch size, plus build provenance). Both are
+reports, not gates.
 
     compare_index_bench.py BENCH_micro.json [BENCH_index_compare.json]
 
@@ -71,22 +75,32 @@ def micro_mode(src: str, dst: str) -> int:
             continue
         times[b["name"]] = b["real_time"]  # ns (default time_unit)
 
-    rows = []
-    for name, t_indexed in sorted(times.items()):
-        if "Linear" in name:
-            continue
-        base, _, arg = name.partition("/")
-        linear = f"{base}Linear/{arg}" if arg else f"{base}Linear"
-        if linear not in times:
-            continue
-        t_linear = times[linear]
-        rows.append({
-            "family": base.removeprefix("BM_"),
-            "entries": int(arg) if arg else None,
-            "indexed_ns": round(t_indexed, 2),
-            "linear_ns": round(t_linear, 2),
-            "speedup": round(t_linear / t_indexed, 2) if t_indexed else None,
-        })
+    def pairs(suffix: str):
+        """(family, arg, fast_ns, reference_ns) for every name whose
+        `<base><suffix>[/<arg>]` twin was also run."""
+        for name, t_fast in sorted(times.items()):
+            if "Linear" in name or "Oracle" in name:
+                continue
+            base, _, arg = name.partition("/")
+            twin = f"{base}{suffix}/{arg}" if arg else f"{base}{suffix}"
+            if twin in times:
+                yield (base.removeprefix("BM_"), int(arg) if arg else None,
+                       t_fast, times[twin])
+
+    rows = [{
+        "family": family,
+        "entries": arg,
+        "indexed_ns": round(t_indexed, 2),
+        "linear_ns": round(t_linear, 2),
+        "speedup": round(t_linear / t_indexed, 2) if t_indexed else None,
+    } for family, arg, t_indexed, t_linear in pairs("Linear")]
+    kernel_rows = [{
+        "family": family,
+        "batch": arg,
+        "kernel_ns": round(t_kernel, 2),
+        "oracle_ns": round(t_oracle, 2),
+        "speedup": round(t_oracle / t_kernel, 2) if t_kernel else None,
+    } for family, arg, t_kernel, t_oracle in pairs("Oracle")]
 
     context = data.get("context", {})
     out = {
@@ -95,6 +109,7 @@ def micro_mode(src: str, dst: str) -> int:
         "git_sha": context.get("git_sha", "unknown"),
         "library_build_type": context.get("library_build_type", "unknown"),
         "comparisons": rows,
+        "kernel_comparisons": kernel_rows,
     }
     with open(dst, "w") as f:
         json.dump(out, f, indent=2)
@@ -103,6 +118,9 @@ def micro_mode(src: str, dst: str) -> int:
     for r in rows:
         print(f"{r['family']}/{r['entries']}: indexed {r['indexed_ns']} ns "
               f"vs linear {r['linear_ns']} ns -> {r['speedup']}x")
+    for r in kernel_rows:
+        print(f"{r['family']}/{r['batch']}: kernel {r['kernel_ns']} ns "
+              f"vs oracle {r['oracle_ns']} ns -> {r['speedup']}x")
     if not rows:
         print("warning: no indexed/linear benchmark pairs found",
               file=sys.stderr)
