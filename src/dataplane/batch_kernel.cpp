@@ -1,8 +1,7 @@
 #include "dataplane/batch_kernel.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -14,23 +13,6 @@ namespace pegasus::dataplane {
 
 namespace {
 
-enum class LookupShape : std::uint8_t {
-  kNibble,          // ternary chunk: row = plane_row + nibble
-  kIntervalArray,   // range field: row = plane_row + interval_of[key]
-  kIntervalSearch,  // range field: row = plane_row + upper_bound(starts)
-};
-
-/// One key-field resolution step of an indexed table.
-struct Lookup {
-  LookupShape shape = LookupShape::kNibble;
-  std::uint32_t column = 0;
-  std::uint32_t shift = 0;      // kNibble
-  std::uint32_t plane_row = 0;
-  std::size_t array_begin = 0;  // kIntervalArray: into interval_of_
-  std::uint64_t array_top = 0;  // kIntervalArray: last valid key
-  const std::vector<std::uint64_t>* starts = nullptr;  // kIntervalSearch
-};
-
 /// One action op with its operands resolved and bounds-checked.
 struct CompiledOp {
   ActionOp::Kind kind = ActionOp::Kind::kSetConst;
@@ -40,22 +22,17 @@ struct CompiledOp {
   std::int64_t sat_max = -1;
 };
 
-constexpr std::int32_t kMiss = MatchIndex::kMiss;
-
 }  // namespace
 
 struct BatchKernel::Table {
-  const MatchActionTable* source = nullptr;
-  /// The live index of an indexed table, `owned` for a small one, nullptr
-  /// for an exact table.
+  /// The table's live index, or `owned` for a small table sealed without
+  /// one.
   const MatchIndex* index = nullptr;
   std::unique_ptr<MatchIndex> owned;
-  std::vector<Lookup> lookups;
-  /// Accumulator start: every entry set, trimmed to the entry count.
-  std::vector<std::uint64_t> all_entries;
-  std::vector<std::size_t> key_columns;  // exact tables
+  std::span<const std::size_t> key_columns;
   std::vector<CompiledOp> hit_ops;
   std::vector<CompiledOp> miss_ops;
+  const std::int64_t* miss_data = nullptr;
 };
 
 namespace {
@@ -148,64 +125,6 @@ void RunOps(const std::vector<CompiledOp>& ops, std::int64_t* rows,
   }
 }
 
-/// First-set-bit match over a bitset of compile-time width W: ANDs the
-/// looked-up row of every key field into the accumulator.
-template <std::size_t W>
-void MatchFixed(const std::uint64_t* plane, const std::uint64_t* all_entries,
-                const std::uint32_t* row_offset, std::size_t num_lookups,
-                std::size_t n, std::int32_t* best) {
-  for (std::size_t p = 0; p < n; ++p) {
-    std::uint64_t acc[W];
-    for (std::size_t w = 0; w < W; ++w) acc[w] = all_entries[w];
-    for (std::size_t j = 0; j < num_lookups; ++j) {
-      const std::uint64_t* row = plane + row_offset[j * n + p];
-      for (std::size_t w = 0; w < W; ++w) acc[w] &= row[w];
-    }
-    std::int32_t pos = kMiss;
-    for (std::size_t w = 0; w < W; ++w) {
-      if (acc[w] != 0) {
-        pos = static_cast<std::int32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(acc[w])));
-        break;
-      }
-    }
-    best[p] = pos;
-  }
-}
-
-/// Wide-bitset counterpart of MatchFixed: stops a row as soon as its
-/// accumulator empties, as MatchIndex::FindBest does.
-void MatchWide(const std::uint64_t* plane, const std::uint64_t* all_entries,
-               std::size_t words, const std::uint32_t* row_offset,
-               std::size_t num_lookups, std::size_t n, std::uint64_t* acc,
-               std::int32_t* best) {
-  for (std::size_t p = 0; p < n; ++p) {
-    best[p] = kMiss;
-    for (std::size_t w = 0; w < words; ++w) acc[w] = all_entries[w];
-    bool any_left = true;
-    for (std::size_t j = 0; j < num_lookups; ++j) {
-      const std::uint64_t* row = plane + row_offset[j * n + p];
-      std::uint64_t any = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        acc[w] &= row[w];
-        any |= acc[w];
-      }
-      if (any == 0) {
-        any_left = false;
-        break;
-      }
-    }
-    if (!any_left) continue;
-    for (std::size_t w = 0; w < words; ++w) {
-      if (acc[w] != 0) {
-        best[p] = static_cast<std::int32_t>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(acc[w])));
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 BatchKernel::BatchKernel(const Pipeline& pipeline, std::size_t num_fields,
@@ -214,99 +133,36 @@ BatchKernel::BatchKernel(const Pipeline& pipeline, std::size_t num_fields,
   if (max_rows == 0) {
     throw std::invalid_argument("BatchKernel: max_rows must be > 0");
   }
-  std::size_t max_lookups = 0;
-  std::size_t max_words = 0;
-  std::size_t max_key = 0;
-  for (const Pipeline::Stage& stage : pipeline.stages_) {
-    for (const auto& placed : stage.tables) {
-      const MatchActionTable& src = *placed;
-      Table t;
-      t.source = &src;
-      for (FieldId f : src.key_fields_) {
-        if (f >= num_fields) {
-          throw std::invalid_argument(src.name_ +
-                                      ": key field outside the PHV");
-        }
-      }
-      // The shortest action data a hit can hand the program.
-      std::size_t min_words = std::numeric_limits<std::size_t>::max();
-      if (src.kind_ == MatchKind::kExact) {
-        ++shapes_.exact_tables;
-        t.key_columns.assign(src.key_fields_.begin(), src.key_fields_.end());
-        max_key = std::max(max_key, t.key_columns.size());
-        for (const TableEntry& e : src.entries_) {
-          min_words = std::min(min_words, e.action_data.size());
-        }
-      } else {
-        if (src.index_ == nullptr) {
-          t.owned = std::make_unique<MatchIndex>(
-              std::span<const TableEntry>(src.entries_),
-              src.kind_ == MatchKind::kTernary);
-        }
-        const MatchIndex& index = src.index_ ? *src.index_ : *t.owned;
-        t.index = &index;
-        for (std::size_t pos = 0; pos < index.num_entries_; ++pos) {
-          min_words = std::min(
-              min_words, index.arena_offset_[pos + 1] - index.arena_offset_[pos]);
-        }
-        const std::size_t words = index.words_;
-        t.all_entries.assign(words, ~0ull);
-        if (index.num_entries_ % 64 != 0) {
-          t.all_entries.back() = (1ull << (index.num_entries_ % 64)) - 1;
-        }
-        for (const MatchIndex::NibbleChunk& c : index.chunks_) {
-          Lookup l;
-          l.shape = LookupShape::kNibble;
-          l.column = static_cast<std::uint32_t>(src.key_fields_[c.field]);
-          l.shift = c.shift;
-          l.plane_row = c.plane_row;
-          t.lookups.push_back(l);
-          ++shapes_.nibble_chunks;
-        }
-        for (const MatchIndex::RangeField& rf : index.ranges_) {
-          Lookup l;
-          l.column = static_cast<std::uint32_t>(src.key_fields_[rf.field]);
-          l.plane_row = rf.plane_row;
-          const std::uint64_t top = rf.starts.back();
-          if (top <= kMaxIntervalArray) {
-            // interval_of[k] = the last interval whose start is <= k; keys
-            // above `top` (and negative fields, huge as unsigned) clamp
-            // into the open top interval.
-            l.shape = LookupShape::kIntervalArray;
-            l.array_begin = interval_of_.size();
-            l.array_top = top;
-            std::size_t interval = 0;
-            for (std::uint64_t k = 0; k <= top; ++k) {
-              while (interval + 1 < rf.starts.size() &&
-                     rf.starts[interval + 1] <= k) {
-                ++interval;
-              }
-              interval_of_.push_back(static_cast<std::uint16_t>(interval));
-            }
-            ++shapes_.interval_arrays;
-          } else {
-            l.shape = LookupShape::kIntervalSearch;
-            l.starts = &rf.starts;
-            ++shapes_.interval_searches;
-          }
-          t.lookups.push_back(l);
-        }
-        max_lookups = std::max(max_lookups, t.lookups.size());
-        max_words = std::max(max_words, words);
-      }
-      // A table with no entries never hits: min_words stays at its maximum and
-      // its program may read any data word.
-      t.hit_ops = CompileOps(src.name_, src.action_program_, num_fields,
-                             min_words, "entry");
-      t.miss_ops = CompileOps(src.name_, src.miss_program_, num_fields,
-                              src.miss_data_.size(), "miss");
-      tables_.push_back(std::move(t));
-      ++shapes_.tables;
+  const std::vector<const MatchActionTable*> tables = pipeline.Tables();
+  tables_.reserve(tables.size());
+  for (const MatchActionTable* src : tables) {
+    if (src->kind() == MatchKind::kExact) {
+      throw std::invalid_argument(src->name() +
+                                  ": exact tables are not served by the "
+                                  "batch kernel");
     }
+    Table t;
+    for (FieldId f : src->key_fields()) {
+      if (f >= num_fields) {
+        throw std::invalid_argument(src->name() +
+                                    ": key field outside the PHV");
+      }
+    }
+    t.key_columns = src->key_fields();
+    if (src->index() == nullptr) {
+      t.owned = std::make_unique<MatchIndex>(
+          src->entries(), src->kind() == MatchKind::kTernary);
+    }
+    t.index = src->index() != nullptr ? src->index() : t.owned.get();
+    // A table with no entries never hits, and its index reports SIZE_MAX
+    // words: its program may read any data word.
+    t.hit_ops = CompileOps(src->name(), src->action_program(), num_fields,
+                           t.index->min_action_words(), "entry");
+    t.miss_ops = CompileOps(src->name(), src->miss_program(), num_fields,
+                            src->miss_data().size(), "miss");
+    t.miss_data = src->miss_data().data();
+    tables_.push_back(std::move(t));
   }
-  row_offset_.resize(max_lookups * max_rows);
-  acc_.resize(max_words);
-  exact_key_.resize(max_key);
   best_.resize(max_rows);
   hit_row_.resize(max_rows);
   hit_data_.resize(max_rows);
@@ -320,151 +176,39 @@ std::size_t BatchKernel::Run(std::int64_t* rows, std::size_t n) {
   if (n > max_rows_) {
     throw std::invalid_argument("BatchKernel::Run: batch exceeds max_rows");
   }
-  std::size_t hits = 0;
+  // The index reads key fields as unsigned, as Phv keys are gathered.
+  const auto* keys = reinterpret_cast<const std::uint64_t*>(rows);
+  std::size_t total_hits = 0;
   for (const Table& t : tables_) {
-    hits += t.index != nullptr ? RunIndexed(t, rows, n) : RunExact(t, rows, n);
-  }
-  return hits;
-}
-
-std::size_t BatchKernel::RunIndexed(const Table& t, std::int64_t* rows,
-                                    std::size_t n) {
-  const MatchIndex& index = *t.index;
-  const std::size_t stride = num_fields_;
-  const std::size_t words = index.words_;
-  // Gather: every key field of every row resolves to the word offset of
-  // its bitset row.
-  std::uint32_t* offsets = row_offset_.data();
-  for (std::size_t j = 0; j < t.lookups.size(); ++j) {
-    const Lookup& l = t.lookups[j];
-    const std::int64_t* column = rows + l.column;
-    std::uint32_t* out = offsets + j * n;
-    switch (l.shape) {
-      case LookupShape::kNibble:
-        for (std::size_t p = 0; p < n; ++p) {
-          const auto key = static_cast<std::uint64_t>(column[p * stride]);
-          out[p] = static_cast<std::uint32_t>(
-              (l.plane_row + ((key >> l.shift) & 0xf)) * words);
-        }
-        break;
-      case LookupShape::kIntervalArray: {
-        const std::uint16_t* interval_of = interval_of_.data() + l.array_begin;
-        for (std::size_t p = 0; p < n; ++p) {
-          const auto key = static_cast<std::uint64_t>(column[p * stride]);
-          out[p] = static_cast<std::uint32_t>(
-              (l.plane_row + interval_of[std::min(key, l.array_top)]) * words);
-        }
-        break;
-      }
-      case LookupShape::kIntervalSearch: {
-        const std::vector<std::uint64_t>& starts = *l.starts;
-        for (std::size_t p = 0; p < n; ++p) {
-          const auto key = static_cast<std::uint64_t>(column[p * stride]);
-          const auto it = std::upper_bound(starts.begin(), starts.end(), key);
-          out[p] = static_cast<std::uint32_t>(
-              (l.plane_row + static_cast<std::size_t>(it - starts.begin()) -
-               1) *
-              words);
-        }
-        break;
+    t.index->FindBestBatch(keys, num_fields_, t.key_columns, n, best_.data());
+    // Hits fill hit_row_ from the front, misses (only when a miss program
+    // exists) from the back.
+    const bool track_misses = !t.miss_ops.empty();
+    std::size_t hits = 0;
+    std::size_t misses = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      const std::int32_t pos = best_[p];
+      if (pos != MatchIndex::kMiss) {
+        hit_row_[hits] = static_cast<std::uint32_t>(p);
+        hit_data_[hits] = t.index->ActionData(pos).data();
+        ++hits;
+      } else if (track_misses) {
+        ++misses;
+        hit_row_[max_rows_ - misses] = static_cast<std::uint32_t>(p);
       }
     }
-  }
-  // Match: the sorted position of each row's winner.
-  std::int32_t* best = best_.data();
-  const std::uint64_t* plane = index.plane_.data();
-  const std::uint64_t* all = t.all_entries.data();
-  const std::size_t nl = t.lookups.size();
-  switch (words) {
-    case 0:
-      std::fill(best, best + n, kMiss);
-      break;
-    case 1:
-      MatchFixed<1>(plane, all, offsets, nl, n, best);
-      break;
-    case 2:
-      MatchFixed<2>(plane, all, offsets, nl, n, best);
-      break;
-    case 3:
-      MatchFixed<3>(plane, all, offsets, nl, n, best);
-      break;
-    case 4:
-      MatchFixed<4>(plane, all, offsets, nl, n, best);
-      break;
-    default:
-      MatchWide(plane, all, words, offsets, nl, n, acc_.data(), best);
-      break;
-  }
-  // Partition rows into hits (front) and misses (back, only when a miss
-  // program exists).
-  const std::int64_t* arena = index.arena_.data();
-  const std::size_t* arena_offset = index.arena_offset_.data();
-  const bool track_misses = !t.miss_ops.empty();
-  std::size_t num_hits = 0;
-  std::size_t num_misses = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::int32_t pos = best[p];
-    if (pos != kMiss) {
-      hit_row_[num_hits] = static_cast<std::uint32_t>(p);
-      hit_data_[num_hits] = arena + arena_offset[pos];
-      ++num_hits;
-    } else if (track_misses) {
-      ++num_misses;
-      hit_row_[max_rows_ - num_misses] = static_cast<std::uint32_t>(p);
+    RunOps(t.hit_ops, rows, num_fields_, hit_row_.data(), hit_data_.data(),
+           hits);
+    if (misses != 0) {
+      const std::size_t first = max_rows_ - misses;
+      std::fill(hit_data_.begin() + static_cast<std::ptrdiff_t>(first),
+                hit_data_.end(), t.miss_data);
+      RunOps(t.miss_ops, rows, num_fields_, hit_row_.data() + first,
+             hit_data_.data() + first, misses);
     }
+    total_hits += hits;
   }
-  RunActions(t, rows, num_hits, num_misses);
-  return num_hits;
-}
-
-std::size_t BatchKernel::RunExact(const Table& t, std::int64_t* rows,
-                                  std::size_t n) {
-  const MatchActionTable& src = *t.source;
-  const std::size_t nk = t.key_columns.size();
-  const bool track_misses = !t.miss_ops.empty();
-  std::size_t num_hits = 0;
-  std::size_t num_misses = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::int64_t* row = rows + p * num_fields_;
-    for (std::size_t i = 0; i < nk; ++i) {
-      exact_key_[i] = static_cast<std::uint64_t>(row[t.key_columns[i]]);
-    }
-    const TableEntry* hit = nullptr;
-    const auto it = src.exact_index_.find(src.ExactHash(exact_key_.data(), nk));
-    if (it != src.exact_index_.end()) {
-      // Latest AddEntry wins among duplicate keys, as ExactLookup scans.
-      for (auto ci = it->second.rbegin(); ci != it->second.rend(); ++ci) {
-        const TableEntry& e = src.entries_[*ci];
-        if (std::equal(e.exact_key.begin(), e.exact_key.end(),
-                       exact_key_.begin())) {
-          hit = &e;
-          break;
-        }
-      }
-    }
-    if (hit != nullptr) {
-      hit_row_[num_hits] = static_cast<std::uint32_t>(p);
-      hit_data_[num_hits] = hit->action_data.data();
-      ++num_hits;
-    } else if (track_misses) {
-      ++num_misses;
-      hit_row_[max_rows_ - num_misses] = static_cast<std::uint32_t>(p);
-    }
-  }
-  RunActions(t, rows, num_hits, num_misses);
-  return num_hits;
-}
-
-void BatchKernel::RunActions(const Table& t, std::int64_t* rows,
-                             std::size_t hits, std::size_t misses) {
-  RunOps(t.hit_ops, rows, num_fields_, hit_row_.data(), hit_data_.data(),
-         hits);
-  if (misses == 0) return;
-  const std::size_t first = max_rows_ - misses;
-  std::fill(hit_data_.begin() + static_cast<std::ptrdiff_t>(first),
-            hit_data_.end(), t.source->miss_data_.data());
-  RunOps(t.miss_ops, rows, num_fields_, hit_row_.data() + first,
-         hit_data_.data() + first, misses);
+  return total_hits;
 }
 
 }  // namespace pegasus::dataplane

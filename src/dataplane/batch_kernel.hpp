@@ -2,70 +2,48 @@
 // serves a whole batch of packets without the table interpreter.
 //
 // The interpreter (Pipeline::ProcessBatch -> MatchActionTable::ApplyBatch)
-// reads keys through the bounds-checked Phv::Get, walks a generic
-// MatchIndex::FindBest per packet and interprets each action op through a
+// reads keys through the bounds-checked Phv::Get, looks each packet up
+// through MatchIndex::FindBest and interprets each action op through a
 // switch whose data-index check can throw. Everything it decides per packet
 // is fixed once the tables are sealed, so the kernel decides it at build
 // time instead (the heavy-analysis-once shape of an asymmetric codec):
 //
 //   * a batch is a row-major int64 matrix: row p is packet p's PHV, a PHV
 //     field id is a column offset;
-//   * each placed table, in stage order, gathers its keys column-wise and
-//     resolves every key field to a bitset row with the lookup its own
-//     shape calls for:
-//       - a range field whose top interval boundary is <= kMaxIntervalArray
-//         gets a direct key -> interval array (uint16);
-//       - a wider range field keeps the binary search over its interval
-//         starts;
-//       - a ternary field keeps its 16-row nibble planes;
-//       - an exact table keeps its chained hash;
-//     the rows are ANDed with the bitset width fixed at build time for
-//     narrow tables, and the first set bit is the winner;
+//   * each placed table, in stage order, looks the whole batch up through
+//     its MatchIndex::FindBestBatch, which reads the key columns in place
+//     (and resolves a narrow range field through its key -> interval
+//     array);
 //   * action ops are compiled once: every data index is checked against
 //     every entry's action data (and the miss data) here, so no serving op
 //     can throw, and each op then runs over the batch's hit rows.
 //
-// Bitset rows and the action arena are read from the table's live
-// MatchIndex, so a clone patched by ApplyDelta is served as patched. Tables
-// sealed without an index (below MatchActionTable::kIndexMinEntries) get a
-// MatchIndex built from their entries here. The kernel borrows the
-// pipeline: it must be rebuilt after any mutation of a placed table (the
-// InferenceEngine that owns it is rebuilt on every swap).
+// Lookups read the table's live MatchIndex, so a clone patched by
+// ApplyDelta is served as patched. Tables sealed without an index (below
+// MatchActionTable::kIndexMinEntries) get a MatchIndex built from their
+// entries here. Exact tables are rejected: lowering emits range and ternary
+// tables only. The kernel borrows the pipeline: it must be rebuilt after
+// any mutation of a placed table (the InferenceEngine that owns it is
+// rebuilt on every swap).
 //
 // Pipeline::ProcessBatch stays the reference: a kernel run is bit-identical
 // to it, outputs and table hits (tests/test_batch_kernel.cpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "dataplane/match_index.hpp"
 
 namespace pegasus::dataplane {
 
-class MatchActionTable;
 class Pipeline;
 
 class BatchKernel {
  public:
-  /// Widest range-field domain (top interval boundary) served by a direct
-  /// key -> interval array; wider fields binary-search their starts.
-  static constexpr std::uint64_t kMaxIntervalArray = 4096;
-
-  /// How the compiled plan resolves its key fields, summed over tables.
-  struct Shapes {
-    std::size_t tables = 0;
-    std::size_t interval_arrays = 0;
-    std::size_t interval_searches = 0;
-    std::size_t nibble_chunks = 0;
-    std::size_t exact_tables = 0;
-  };
-
   /// Compiles `pipeline` for PHVs of `num_fields` fields and batches of at
-  /// most `max_rows` rows. Throws std::invalid_argument when a key or an
-  /// action target lies outside the PHV, or when an action op reads a data
-  /// word past some entry's (or the miss program's) action data.
+  /// most `max_rows` rows. Throws std::invalid_argument on an exact table,
+  /// when a key or an action target lies outside the PHV, or when an action
+  /// op reads a data word past some entry's (or the miss program's) action
+  /// data.
   BatchKernel(const Pipeline& pipeline, std::size_t num_fields,
               std::size_t max_rows);
   ~BatchKernel();
@@ -74,7 +52,6 @@ class BatchKernel {
 
   std::size_t num_fields() const { return num_fields_; }
   std::size_t max_rows() const { return max_rows_; }
-  const Shapes& shapes() const { return shapes_; }
 
   /// Runs rows [0, n) of `rows` (row p's field f at rows[p * num_fields()
   /// + f], n <= max_rows()) through every table in stage order, in place.
@@ -84,25 +61,12 @@ class BatchKernel {
  private:
   struct Table;
 
-  std::size_t RunIndexed(const Table& t, std::int64_t* rows, std::size_t n);
-  std::size_t RunExact(const Table& t, std::int64_t* rows, std::size_t n);
-  /// Runs `t`'s hit program over the collected hit rows and its miss
-  /// program over the collected miss rows.
-  void RunActions(const Table& t, std::int64_t* rows, std::size_t hits,
-                  std::size_t misses);
-
   std::size_t num_fields_ = 0;
   std::size_t max_rows_ = 0;
   std::vector<Table> tables_;
-  Shapes shapes_;
-  /// Interval ids of every direct-array range field, back to back.
-  std::vector<std::uint16_t> interval_of_;
   // Per-run scratch, sized at build time.
-  std::vector<std::uint32_t> row_offset_;  // lookup-major: [lookup][row]
-  std::vector<std::uint64_t> acc_;         // wide-table accumulator
-  std::vector<std::uint64_t> exact_key_;
-  std::vector<std::int32_t> best_;         // winner's sorted position
-  std::vector<std::uint32_t> hit_row_;     // hits from the front, misses
+  std::vector<std::int32_t> best_;             // winner's sorted position
+  std::vector<std::uint32_t> hit_row_;         // hits from the front, misses
   std::vector<const std::int64_t*> hit_data_;  // from the back
 };
 

@@ -49,8 +49,9 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
   // contiguous, cache-resident slice.
   arena_offset_.resize(num_entries_ + 1, 0);
   for (std::size_t pos = 0; pos < num_entries_; ++pos) {
-    arena_offset_[pos + 1] =
-        arena_offset_[pos] + entries[order_[pos]].action_data.size();
+    const std::size_t words = entries[order_[pos]].action_data.size();
+    arena_offset_[pos + 1] = arena_offset_[pos] + words;
+    min_action_words_ = std::min(min_action_words_, words);
   }
   arena_.reserve(arena_offset_.back());
   for (std::size_t pos = 0; pos < num_entries_; ++pos) {
@@ -73,7 +74,8 @@ MatchIndex::MatchIndex(std::span<const TableEntry> entries,
                  arena_.size() * sizeof(std::int64_t) +
                  arena_offset_.size() * sizeof(std::size_t);
   for (const RangeField& rf : ranges_) {
-    stats_.bytes += rf.starts.size() * sizeof(std::uint64_t);
+    stats_.bytes += rf.starts.size() * sizeof(std::uint64_t) +
+                    rf.interval_of.size() * sizeof(std::uint16_t);
   }
   stats_.build_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)
@@ -140,6 +142,17 @@ void MatchIndex::BuildRange(std::span<const TableEntry> entries) {
         if (e.range_lo[f] <= first && e.range_hi[f] >= last) {
           rows[i * words_ + pos / 64] |= 1ull << (pos % 64);
         }
+      }
+    }
+    const std::uint64_t top = rf.starts.back();
+    if (top <= kMaxIntervalArray) {
+      rf.interval_of.reserve(top + 1);
+      std::size_t interval = 0;
+      for (std::uint64_t k = 0; k <= top; ++k) {
+        if (interval + 1 < rf.starts.size() && rf.starts[interval + 1] == k) {
+          ++interval;
+        }
+        rf.interval_of.push_back(static_cast<std::uint16_t>(interval));
       }
     }
     ranges_.push_back(std::move(rf));
@@ -281,6 +294,63 @@ std::int32_t MatchIndex::FindBest(const std::uint64_t* keys) const {
     }
   }
   return kMiss;
+}
+
+void MatchIndex::FindBestBatch(const std::uint64_t* keys, std::size_t stride,
+                               std::span<const std::size_t> columns,
+                               std::size_t n, std::int32_t* best) const {
+  if (num_entries_ == 0) {
+    std::fill(best, best + n, kMiss);
+    return;
+  }
+  const std::size_t words = words_;
+  std::uint64_t stack_buf[kStackWords];
+  std::uint64_t* acc = AccBuffer(words, stack_buf);
+  // ANDs bitset row `row` into acc; false once no entry is left.
+  const auto and_row = [&](std::size_t row) {
+    const std::uint64_t* bits = plane_.data() + row * words;
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      acc[w] &= bits[w];
+      any |= acc[w];
+    }
+    return any != 0;
+  };
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::uint64_t* row_keys = keys + p * stride;
+    for (std::size_t w = 0; w < words; ++w) acc[w] = ~0ull;
+    if (num_entries_ % 64 != 0) {
+      acc[words - 1] = (1ull << (num_entries_ % 64)) - 1;
+    }
+    bool live = true;
+    for (std::size_t c = 0; live && c < chunks_.size(); ++c) {
+      const NibbleChunk& chunk = chunks_[c];
+      const std::uint64_t key = row_keys[columns[chunk.field]];
+      live = and_row(chunk.plane_row + ((key >> chunk.shift) & 0xf));
+    }
+    for (std::size_t r = 0; live && r < ranges_.size(); ++r) {
+      const RangeField& rf = ranges_[r];
+      const std::uint64_t key = row_keys[columns[rf.field]];
+      std::size_t interval;
+      if (!rf.interval_of.empty()) {
+        interval = rf.interval_of[std::min<std::uint64_t>(
+            key, rf.interval_of.size() - 1)];
+      } else {
+        const auto it =
+            std::upper_bound(rf.starts.begin(), rf.starts.end(), key);
+        interval = static_cast<std::size_t>(it - rf.starts.begin()) - 1;
+      }
+      live = and_row(rf.plane_row + interval);
+    }
+    best[p] = kMiss;
+    for (std::size_t w = 0; live && w < words; ++w) {
+      if (acc[w] != 0) {
+        best[p] = static_cast<std::int32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(acc[w])));
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace pegasus::dataplane

@@ -27,6 +27,13 @@
 // Lookup cost: sum(chunks) word-parallel ANDs over ceil(entries/64) words
 // (ternary) or nk binary searches (range), independent of entry count up to
 // the bitset width — near-O(1) per packet where the scan was O(entries).
+//
+// FindBest is the reference lookup. FindBestBatch serves a whole batch of
+// keys laid out row by row and skips the binary search of a range field
+// whose top interval boundary is at most kMaxIntervalArray: such a field
+// also keeps a direct key -> interval array (uint16 per key value), built
+// here and never touched by ApplyDelta (patches only land on existing
+// boundaries).
 #pragma once
 
 #include <cstdint>
@@ -67,6 +74,9 @@ class MatchIndex {
  public:
   /// Sentinel returned by FindBest on miss.
   static constexpr std::int32_t kMiss = -1;
+  /// Widest range-field domain (top interval boundary) resolved through a
+  /// direct key -> interval array; wider fields binary-search their starts.
+  static constexpr std::uint64_t kMaxIntervalArray = 4096;
 
   /// Compiles the index. `kind_is_ternary` selects the nibble-chunk
   /// decomposition; otherwise entries' range_lo/range_hi are used. Field
@@ -78,6 +88,13 @@ class MatchIndex {
   /// insertion wins ties), as a *sorted position*; kMiss when no entry
   /// matches. `keys[i]` is the value of key field i.
   std::int32_t FindBest(const std::uint64_t* keys) const;
+
+  /// Batch counterpart of FindBest, bit-identical to it: for p in [0, n),
+  /// best[p] is the winner for row p, whose key field i is
+  /// keys[p * stride + columns[i]].
+  void FindBestBatch(const std::uint64_t* keys, std::size_t stride,
+                     std::span<const std::size_t> columns, std::size_t n,
+                     std::int32_t* best) const;
 
   /// Original entry index of sorted position `pos`.
   std::size_t EntryIndex(std::int32_t pos) const {
@@ -93,6 +110,11 @@ class MatchIndex {
 
   const MatchIndexStats& stats() const { return stats_; }
 
+  /// Fewest action-data words any entry holds; SIZE_MAX for an empty
+  /// index. ApplyDelta keeps every entry's word count, so it holds for the
+  /// index's lifetime.
+  std::size_t min_action_words() const { return min_action_words_; }
+
   /// True when `patch` can be applied in place: same action-data size (so
   /// arena offsets stay valid) and a match representable by the compiled
   /// planes — ternary masks within existing chunk coverage, range bounds
@@ -107,9 +129,6 @@ class MatchIndex {
   void ApplyDelta(std::span<const EntryPatch> patches);
 
  private:
-  // The batch kernel serves straight from the planes and the arena.
-  friend class BatchKernel;
-
   /// One 4-bit chunk of a ternary key field: 16 bitset rows starting at
   /// `plane_row * words_` inside plane_.
   struct NibbleChunk {
@@ -118,11 +137,15 @@ class MatchIndex {
     std::uint32_t plane_row = 0;
   };
   /// One range key field: elementary interval starts (sorted, starts[0]=0)
-  /// and the first bitset row of its interval plane.
+  /// and the first bitset row of its interval plane. When starts.back() <=
+  /// kMaxIntervalArray, interval_of[k] is the interval holding key k for k
+  /// in [0, starts.back()] (larger keys lie in the top interval); otherwise
+  /// it is empty.
   struct RangeField {
     std::uint32_t field = 0;
     std::uint32_t plane_row = 0;
     std::vector<std::uint64_t> starts;
+    std::vector<std::uint16_t> interval_of;
   };
 
   void BuildTernary(std::span<const TableEntry> entries);
@@ -141,6 +164,7 @@ class MatchIndex {
   /// Action-data arena in sorted order; offsets has num_entries_+1 slots.
   std::vector<std::int64_t> arena_;
   std::vector<std::size_t> arena_offset_;
+  std::size_t min_action_words_ = SIZE_MAX;
   MatchIndexStats stats_;
 };
 

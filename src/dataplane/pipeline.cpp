@@ -72,6 +72,14 @@ ResourceReport Pipeline::Report() const {
   return r;
 }
 
+std::vector<const MatchActionTable*> Pipeline::Tables() const {
+  std::vector<const MatchActionTable*> tables;
+  for (const Stage& stage : stages_) {
+    for (const auto& table : stage.tables) tables.push_back(table.get());
+  }
+  return tables;
+}
+
 std::uint64_t Pipeline::Generation() const {
   std::uint64_t g = 0;
   for (const Stage& stage : stages_) {

@@ -64,6 +64,8 @@ class Pipeline {
   ResourceReport Report() const;
 
   std::size_t NumTables() const;
+  /// The placed tables in stage order (the order Process applies them).
+  std::vector<const MatchActionTable*> Tables() const;
   std::size_t StagesUsed() const;
 
   /// True when every placed ternary/range table is sealed — i.e. the whole
@@ -107,9 +109,6 @@ class Pipeline {
   std::unique_ptr<Pipeline> Clone() const;
 
  private:
-  // The batch kernel walks the placed tables in stage order.
-  friend class BatchKernel;
-
   struct Stage {
     std::vector<std::unique_ptr<MatchActionTable>> tables;
     std::size_t sram_bits = 0;

@@ -180,15 +180,10 @@ inline std::uint64_t FnvMixWord(std::uint64_t h, std::uint64_t word) {
 
 std::uint64_t MatchActionTable::ExactHash(
     const std::vector<std::uint64_t>& key) const {
-  return ExactHash(key.data(), key.size());
-}
-
-std::uint64_t MatchActionTable::ExactHash(const std::uint64_t* key,
-                                          std::size_t nk) const {
   // FNV-1a over the key words; collisions are harmless because the index
   // chains all entries per hash and Lookup verifies the full key.
   std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < nk; ++i) h = FnvMixWord(h, key[i]);
+  for (std::uint64_t word : key) h = FnvMixWord(h, word);
   return h & exact_hash_mask_;
 }
 

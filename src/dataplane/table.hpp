@@ -88,6 +88,13 @@ class MatchActionTable {
 
   const std::string& name() const { return name_; }
   MatchKind kind() const { return kind_; }
+  const std::vector<FieldId>& key_fields() const { return key_fields_; }
+  std::span<const TableEntry> entries() const { return entries_; }
+  const std::vector<ActionOp>& action_program() const {
+    return action_program_;
+  }
+  const std::vector<ActionOp>& miss_program() const { return miss_program_; }
+  std::span<const std::int64_t> miss_data() const { return miss_data_; }
 
   /// Adds an entry. Invalidates a previously sealed match index; call
   /// Seal() again before serving traffic to restore the indexed path.
@@ -128,6 +135,9 @@ class MatchActionTable {
   const MatchIndexStats* index_stats() const {
     return index_ ? &index_->stats() : nullptr;
   }
+  /// The compiled index itself, under the same conditions (a clone patched
+  /// by ApplyDelta hands out its patched index).
+  const MatchIndex* index() const { return index_.get(); }
 
   /// Applies in-place entry patches without invalidating the seal. All
   /// patches are validated up front (index range, arity, data size,
@@ -186,12 +196,7 @@ class MatchActionTable {
   std::size_t TcamBits() const;
 
  private:
-  // The batch kernel compiles a sealed table's lookup and action program
-  // once, reading its keys, entries, index and programs directly.
-  friend class BatchKernel;
-
   std::uint64_t ExactHash(const std::vector<std::uint64_t>& key) const;
-  std::uint64_t ExactHash(const std::uint64_t* key, std::size_t nk) const;
   /// Same byte-for-byte hash, computed straight from the PHV key fields —
   /// no per-lookup key buffer is materialized.
   std::uint64_t ExactHashFromPhv(const Phv& phv) const;

@@ -23,16 +23,6 @@ const dataplane::Pipeline& SealedPipeline(const LoweredModel& model) {
 
 }  // namespace
 
-std::int64_t InferenceEngine::QuantizeFeature(float v, std::int64_t dmax) {
-  // For 0 <= v < 2^22, double(v) + 0.5 is exact (or, below 2^-30, stays
-  // under 1), so truncating it rounds half away from zero as llround does.
-  const std::int64_t rounded =
-      v >= 0.0f && v < 4194304.0f
-          ? static_cast<std::int64_t>(static_cast<double>(v) + 0.5)
-          : std::llround(v);
-  return std::clamp<std::int64_t>(rounded, 0, dmax);
-}
-
 InferenceEngine::InferenceEngine(const LoweredModel& model,
                                  std::size_t batch_capacity)
     : model_(&model),
@@ -45,18 +35,14 @@ InferenceEngine::InferenceEngine(const LoweredModel& model,
     }
     return f;
   };
+  // The fill writes features over the template row. Parser inits only
+  // seed SumReduce accumulators, never an input field, so this equals a
+  // Phv filled with features and then parser values.
   template_row_.assign(width, 0);
-  std::vector<bool> parsed(width, false);
   for (const auto& [field, value] : model.parser_inits()) {
     template_row_[column(field)] = value;
-    parsed[field] = true;
   }
-  const auto& input_fields = model.input_fields();
-  for (std::size_t d = 0; d < input_fields.size(); ++d) {
-    if (!parsed[column(input_fields[d])]) {
-      input_columns_.emplace_back(d, input_fields[d]);
-    }
-  }
+  for (dataplane::FieldId f : model.input_fields()) column(f);
   for (dataplane::FieldId f : model.output_fields()) column(f);
   rows_.resize(batch_capacity * width);
   raw_scratch_.resize(batch_capacity * model.OutputDim());
@@ -77,6 +63,7 @@ void InferenceEngine::InferRaw(std::span<const float> features, std::size_t n,
   }
   assert(model_->pipeline().Generation() == pipeline_generation_ &&
          "InferenceEngine: pipeline mutated under a live engine");
+  const auto& input_fields = model_->input_fields();
   const auto& output_fields = model_->output_fields();
   const auto& output_quant = model_->output_quant();
   const std::size_t width = template_row_.size();
@@ -88,8 +75,9 @@ void InferenceEngine::InferRaw(std::span<const float> features, std::size_t n,
       std::int64_t* row = rows_.data() + i * width;
       std::copy(template_row_.begin(), template_row_.end(), row);
       const float* x = features.data() + (done + i) * in_dim;
-      for (const auto& [d, column] : input_columns_) {
-        row[column] = QuantizeFeature(x[d], dmax);
+      for (std::size_t d = 0; d < in_dim; ++d) {
+        row[input_fields[d]] =
+            std::clamp<std::int64_t>(std::llround(x[d]), 0, dmax);
       }
     }
     stats_.table_hits += kernel_.Run(rows_.data(), chunk);

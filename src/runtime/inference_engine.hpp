@@ -51,14 +51,10 @@ class InferenceEngine {
   };
 
   /// Builds the kernel. Throws std::invalid_argument on a zero capacity or
-  /// a pipeline the kernel rejects (an action reading past an entry's
-  /// data), std::logic_error when a placed table is not sealed.
+  /// a pipeline the kernel rejects (an exact table, an action reading past
+  /// an entry's data), std::logic_error when a placed table is not sealed.
   explicit InferenceEngine(const LoweredModel& model,
                            std::size_t batch_capacity = kDefaultBatchCapacity);
-
-  /// The parser's feature quantization: std::clamp(std::llround(v), 0,
-  /// dmax), bit for bit, without the libm call for in-range values.
-  static std::int64_t QuantizeFeature(float v, std::int64_t dmax);
 
   std::size_t batch_capacity() const { return kernel_.max_rows(); }
   std::size_t input_dim() const { return model_->InputDim(); }
@@ -88,9 +84,6 @@ class InferenceEngine {
   dataplane::BatchKernel kernel_;
   /// Parse-time PHV: zero, then the parser's initial values.
   std::vector<std::int64_t> template_row_;
-  /// (feature index, column) pairs the fill writes; an input field the
-  /// parser also initializes keeps the parser's value, as on a Phv.
-  std::vector<std::pair<std::size_t, std::size_t>> input_columns_;
   /// The chunk's PHVs, batch_capacity rows of template_row_.size().
   std::vector<std::int64_t> rows_;
   /// Per-chunk raw outputs for the dequantizing Infer path.

@@ -12,7 +12,8 @@
 // flat batch kernel (dataplane/batch_kernel.hpp, compiled from the sealed
 // pipeline when the engine is built) runs every table over the whole batch
 // at once. The per-packet path performs no heap allocation — flow state,
-// batch rows, logits and the engine's PHV matrix are all preallocated. Decisions append to per-shard sinks that the caller merges
+// batch rows, logits and the engine's PHV matrix are all preallocated.
+// Decisions append to per-shard sinks that the caller merges
 // after Stop() (TakeDecisions); Serve(span) sizes each sink from the
 // trace's *observed* shard shares (an exact routing pre-pass), so a skewed
 // flow-hash distribution no longer grows a hot shard's vector mid-run.

@@ -2,14 +2,13 @@
 // reference interpreter (a Phv fill + Pipeline::ProcessBatch): raw outputs
 // and table hits, on every paper model, on random and edge rows, at batch
 // sizes around the capacity, before and after an in-place delta — and on a
-// hand-built pipeline that exercises every lookup shape, exact tables and
-// miss programs. An action reading past an entry's data is rejected when
-// the kernel is built, not on the first packet that hits the entry.
+// hand-built pipeline that exercises every lookup shape and miss programs.
+// An action reading past an entry's data, and an exact table, are rejected
+// when the kernel is built, not on the first packet that hits the entry.
 #include "dataplane/batch_kernel.hpp"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -205,17 +204,11 @@ TEST_P(PaperModelKernel, BitIdenticalToProcessBatchBeforeAndAfterDelta) {
     const rt::LoweredModel lowered = rt::Lower(compiled, {});
     const std::string what = std::string(GetParam()) + " part " +
                              std::to_string(part);
-    {
-      const dp::BatchKernel kernel(lowered.pipeline(),
-                                   lowered.layout().NumFields(), 4);
-      const auto& shapes = kernel.shapes();
-      EXPECT_EQ(shapes.tables, lowered.NumTables()) << what;
-      RecordProperty("part" + std::to_string(part) + "_shapes",
-                     std::to_string(shapes.interval_arrays) + " arrays, " +
-                         std::to_string(shapes.interval_searches) +
-                         " searches, " + std::to_string(shapes.nibble_chunks) +
-                         " nibble chunks");
-    }
+    const auto report = lowered.pipeline().MatchIndexReport();
+    RecordProperty("part" + std::to_string(part) + "_lookups",
+                   std::to_string(report.indexed_tables) + " indexed tables, " +
+                       std::to_string(report.intervals) + " intervals, " +
+                       std::to_string(report.nibble_chunks) + " nibble chunks");
     const auto rows =
         TestRows(150, lowered.InputDim(), lowered.input_bits(), 7 + part);
     ExpectEngineMatchesOracle(lowered, rows, what + " sealed");
@@ -257,11 +250,10 @@ dp::ActionOp Op(Kind kind, dp::FieldId target, std::size_t data_index,
   return op;
 }
 
-/// A pipeline with one table per lookup shape the kernel distinguishes:
-/// narrow range (interval array), wide range (interval search), narrow and
-/// wide ternary bitsets, an unindexed small table, an empty table, and an
-/// exact table keyed on a field an earlier table writes — with miss
-/// programs and every action op kind.
+/// A pipeline with one table per lookup shape: narrow range (interval
+/// array), wide range (interval search), narrow and wide ternary bitsets,
+/// and an unindexed small table keyed on a field an earlier stage writes,
+/// plus an empty table — with miss programs and every action op kind.
 struct ShapePipeline {
   dp::PhvLayout layout;
   dp::Pipeline pipeline;
@@ -340,23 +332,6 @@ struct ShapePipeline {
         std::vector<dp::ActionOp>{Op(Kind::kSetFromData, o1, 0)}, 32);
     empty->SetMissProgram({Op(Kind::kAddConst, o1, 0, -2)}, {});
     pipeline.PlaceTable(std::move(empty), 1);
-
-    // Stage 2: exact match on a field stage 0 wrote.
-    auto exact = std::make_unique<dp::MatchActionTable>(
-        "exact", dp::MatchKind::kExact,
-        std::vector<dp::FieldId>{acc, k_narrow}, std::vector<int>{16, 8},
-        std::vector<dp::ActionOp>{Op(Kind::kAddFromData, o1, 1, 0, 5000)},
-        32);
-    for (std::uint64_t a = 0; a < 300; a += 3) {
-      for (std::uint64_t k = 0; k < 256; k += 5) {
-        dp::TableEntry entry;
-        entry.exact_key = {a, k};
-        entry.action_data = {0, static_cast<std::int64_t>(a + k)};
-        exact->AddEntry(std::move(entry));
-      }
-    }
-    exact->SetMissProgram({Op(Kind::kAddConst, o1, 0, 1)}, {});
-    pipeline.PlaceTable(std::move(exact), 2);
   }
 };
 
@@ -366,12 +341,6 @@ TEST(BatchKernel, EveryLookupShapeMatchesProcessBatch) {
   const ShapePipeline sp;
   const std::size_t width = sp.layout.NumFields();
   dp::BatchKernel kernel(sp.pipeline, width, 65);
-  const auto& shapes = kernel.shapes();
-  EXPECT_EQ(shapes.tables, 6u);
-  EXPECT_EQ(shapes.interval_arrays, 2u);  // range.k_narrow, small.acc
-  EXPECT_EQ(shapes.interval_searches, 1u);  // range.k_wide
-  EXPECT_GT(shapes.nibble_chunks, 0u);
-  EXPECT_EQ(shapes.exact_tables, 1u);
 
   std::mt19937_64 rng(5);
   // Keys stray outside every domain, negative included.
@@ -491,40 +460,22 @@ TEST(BatchKernel, EngineBuildRejectsAPushWithShortActionData) {
   EXPECT_THROW(rt::InferenceEngine(broken, 4), std::invalid_argument);
 }
 
-TEST(InferenceEngineQuantize, MatchesClampedLlroundBitForBit) {
-  const auto reference = [](float v, std::int64_t dmax) {
-    return std::clamp<std::int64_t>(std::llround(v), 0, dmax);
-  };
-  std::vector<float> values = {0.0f,
-                               -0.0f,
-                               0.5f,
-                               0.49999997f,
-                               1.5f,
-                               2.5f,
-                               254.5f,
-                               255.49998f,
-                               1e-40f,
-                               4194303.5f,
-                               4194304.0f,
-                               4194304.5f,
-                               8388607.5f,
-                               1e12f,
-                               -0.5f,
-                               -2.5f,
-                               -1e30f,
-                               std::numeric_limits<float>::infinity(),
-                               -std::numeric_limits<float>::infinity(),
-                               std::numeric_limits<float>::quiet_NaN()};
-  // A stride over every positive finite float bit pattern below 2^24.
-  for (std::uint32_t bits = 0; bits < 0x4b800000u; bits += 4099) {
-    values.push_back(std::bit_cast<float>(bits));
+TEST(BatchKernel, RejectsExactTablesAtBuild) {
+  dp::PhvLayout layout;
+  const auto k = layout.AddField("k", 8);
+  const auto o = layout.AddField("o", 16);
+  auto exact = std::make_unique<dp::MatchActionTable>(
+      "exact", dp::MatchKind::kExact, std::vector<dp::FieldId>{k},
+      std::vector<int>{8},
+      std::vector<dp::ActionOp>{Op(Kind::kSetFromData, o, 0)}, 16);
+  for (std::uint64_t v = 0; v < 16; ++v) {
+    dp::TableEntry entry;
+    entry.exact_key = {v};
+    entry.action_data = {static_cast<std::int64_t>(v)};
+    exact->AddEntry(std::move(entry));
   }
-  for (const int bits : {1, 8, 16, 23, 24, 30, 62}) {
-    const std::int64_t dmax = (std::int64_t{1} << bits) - 1;
-    for (const float v : values) {
-      ASSERT_EQ(rt::InferenceEngine::QuantizeFeature(v, dmax),
-                reference(v, dmax))
-          << "v=" << v << " bits=" << bits;
-    }
-  }
+  dp::Pipeline pipeline;
+  pipeline.PlaceTable(std::move(exact), 0);
+  EXPECT_THROW(dp::BatchKernel(pipeline, layout.NumFields(), 4),
+               std::invalid_argument);
 }

@@ -5,10 +5,12 @@
 // lifecycle and exact-match hash-collision coverage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "dataplane/match_index.hpp"
@@ -812,4 +814,97 @@ TEST(MatchIndexDelta, CloneIsIndependentAndPreservesIndex) {
   phv.Set(p.keys[0], 5);
   EXPECT_EQ(clone->Lookup(phv), std::nullopt);
   EXPECT_EQ(p.indexed->Lookup(phv), std::optional<std::size_t>{5});
+}
+
+// ---------------------------------------------------------------------------
+// FindBestBatch — the serving lookup — must be bit-identical to FindBest,
+// the reference: on ternary and range indexes, range fields on both sides
+// of the key -> interval array cutoff, keys outside every domain (negative
+// PHV values arrive as huge unsigned keys), keys read through a strided
+// layout with shuffled columns, and after in-place deltas.
+// ---------------------------------------------------------------------------
+
+TEST(MatchIndexBatch, FindBestBatchBitIdenticalToFindBest) {
+  std::mt19937_64 rng(4242);
+  constexpr std::uint64_t kCut = dp::MatchIndex::kMaxIntervalArray;
+  for (const dp::MatchKind kind :
+       {dp::MatchKind::kTernary, dp::MatchKind::kRange}) {
+    // Widths 12 and 13 put a range field's top boundary just at and just
+    // past the interval-array cutoff (see the pinned entries below).
+    const std::vector<std::vector<int>> shapes = {{8}, {12, 8}, {13, 16, 6}};
+    for (const auto& widths : shapes) {
+      std::vector<dp::TableEntry> entries;
+      const std::size_t n = 30 + rng() % 200;
+      for (std::size_t e = 0; e < n; ++e) {
+        dp::TableEntry entry;
+        for (int w : widths) {
+          const std::uint64_t dmax = (1ull << w) - 1;
+          if (kind == dp::MatchKind::kTernary) {
+            entry.ternary.push_back({rng() & dmax, rng() & dmax});
+          } else {
+            const std::uint64_t top = std::min(dmax, kCut - 2);
+            std::uint64_t lo = rng() % (top + 1), hi = rng() % (top + 1);
+            if (lo > hi) std::swap(lo, hi);
+            entry.range_lo.push_back(lo);
+            entry.range_hi.push_back(hi);
+          }
+        }
+        entry.priority = static_cast<int>(rng() % 4);
+        entry.action_data = {static_cast<std::int64_t>(e)};
+        entries.push_back(entry);
+      }
+      if (kind == dp::MatchKind::kRange) {
+        // Field 0's top boundary: exactly the cutoff for width 12 (served
+        // by the array), one past it for width 13 (binary search).
+        entries[0].range_hi[0] = widths[0] == 13 ? kCut : kCut - 1;
+      }
+      dp::MatchIndex index(entries, kind == dp::MatchKind::kTernary);
+
+      // Row p's key field i sits at column cols[i] of a stride-7 row.
+      const std::size_t stride = 7;
+      std::vector<std::size_t> cols = {5, 0, 3};
+      cols.resize(widths.size());
+      const auto check = [&](const char* when) {
+        const std::size_t rows = 300;
+        std::vector<std::uint64_t> keys(rows * stride, 0xdeadbeef);
+        for (std::size_t p = 0; p < rows; ++p) {
+          for (std::size_t i = 0; i < widths.size(); ++i) {
+            const std::uint64_t dmax = (1ull << widths[i]) - 1;
+            std::uint64_t v = rng() & dmax;
+            if (p % 10 == 1) v = kCut - 1 + rng() % 3;
+            if (p % 10 == 2) v = ~0ull - rng() % 3;  // negative fields
+            if (p % 10 == 3) v = (1ull << 40) + rng() % 5;
+            if (p % 10 == 4 && kind == dp::MatchKind::kRange) {
+              v = entries[rng() % entries.size()].range_lo[i];
+            }
+            keys[p * stride + cols[i]] = v;
+          }
+        }
+        std::vector<std::int32_t> best(rows, 12345);
+        index.FindBestBatch(keys.data(), stride, cols, rows, best.data());
+        for (std::size_t p = 0; p < rows; ++p) {
+          std::vector<std::uint64_t> packed;
+          for (std::size_t i = 0; i < widths.size(); ++i) {
+            packed.push_back(keys[p * stride + cols[i]]);
+          }
+          ASSERT_EQ(best[p], index.FindBest(packed.data()))
+              << when << ": row " << p << ", " << widths.size()
+              << " key fields";
+        }
+      };
+      check("sealed");
+      for (int round = 0; round < 3; ++round) {
+        index.ApplyDelta(RandomAbsorbablePatches(rng, kind, entries, widths,
+                                                 1 + rng() % 8));
+        check("after delta");
+      }
+    }
+  }
+  // An empty index misses every row.
+  const dp::MatchIndex empty(std::span<const dp::TableEntry>{}, true);
+  std::vector<std::int32_t> best(3, 0);
+  const std::vector<std::uint64_t> keys(3, 1);
+  empty.FindBestBatch(keys.data(), 1, std::vector<std::size_t>{0}, 3,
+                      best.data());
+  EXPECT_EQ(best, std::vector<std::int32_t>(3, dp::MatchIndex::kMiss));
 }
